@@ -337,7 +337,7 @@ let realign_store ?ctx ?jobs ?on_corrupt ?prefetch ?access ?(max_shift = 3)
          shift (a handful of bytes per trace — the out-of-core property
          survives), then anchor. *)
       let relative =
-        let feed = Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch reader in
+        let feed = Attack.Dema.Stream.shard_feed ~obs ?on_corrupt ?prefetch reader in
         Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
         let acc = ref [] in
         let rec loop () =
@@ -366,7 +366,7 @@ let realign_store ?ctx ?jobs ?on_corrupt ?prefetch ?access ?(max_shift = 3)
            corrected campaign.  The two passes see the same surviving
            shards — the store is immutable — so index i in [shifts]
            is trace i of this pass too. *)
-        let feed = Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch reader in
+        let feed = Attack.Dema.Stream.shard_feed ~obs ?on_corrupt ?prefetch reader in
         Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
         let i = ref 0 in
         let rec loop () =

@@ -1029,8 +1029,8 @@ module Stream = struct
     skipped : unit -> int;
   }
 
-  let shard_feed ?(on_corrupt = `Fail) ?(prefetch = true) ?(codec = falcon_codec)
-      ?max_traces reader =
+  let shard_feed ?(obs = Obs.null) ?(on_corrupt = `Fail) ?(prefetch = true)
+      ?(codec = falcon_codec) ?max_traces reader =
     let m = check_meta codec reader in
     let shards = Tracestore.Reader.shard_count reader in
     let cap =
@@ -1090,12 +1090,30 @@ module Stream = struct
             delivered := !delivered + Array.length tr;
             if Array.length tr = 0 then next () else Some tr
     in
+    (* The pass's counters, emitted once, on the first [close], by the
+       domain that owns the feed: the shards it consumed (an in-flight
+       decode ahead of the stopping point does not count), their bytes,
+       and the traces it delivered. *)
+    let closed = ref false in
     let close () =
-      match !pending with
+      (match !pending with
       | Some d ->
           pending := None;
           (try ignore (Domain.join d) with _ -> ())
-      | None -> ()
+      | None -> ());
+      if not !closed then begin
+        closed := true;
+        if Obs.enabled obs then begin
+          let bytes = ref 0 in
+          for i = 0 to !idx - 1 do
+            bytes := !bytes + (Tracestore.Reader.entry reader i).Tracestore.bytes
+          done;
+          Obs.count obs "tracestore.shards" !idx;
+          Obs.count obs "tracestore.bytes" !bytes;
+          Obs.count obs "tracestore.traces" !delivered;
+          if !skipped > 0 then Obs.count obs "dema.shards_skipped" !skipped
+        end
+      end
     in
     { next; close; total = cap; skipped = (fun () -> !skipped) }
 
@@ -1109,7 +1127,7 @@ module Stream = struct
     let c = Ctx.resolve ?ctx ?jobs ?backend () in
     let obs = c.Ctx.obs in
     let fd =
-      shard_feed
+      shard_feed ~obs
         ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
         ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
         ?codec ?max_traces reader
@@ -1138,14 +1156,8 @@ module Stream = struct
               ("jobs", Obs.Int c.Ctx.jobs);
             ]
           (fun () ->
-            let r =
-              run_until ~ctx:c ~spec ~total:fd.total ~top ~parts:models ~feed
-                (Array.of_seq candidates)
-            in
-            let sk = fd.skipped () in
-            if Obs.enabled obs && sk > 0 then
-              Obs.count obs "dema.shards_skipped" sk;
-            r))
+            run_until ~ctx:c ~spec ~total:fd.total ~top ~parts:models ~feed
+              (Array.of_seq candidates)))
 
   let evolution ?ctx ?jobs ?on_corrupt ?prefetch ?codec reader ~sample ~model
       ~known ~guess =

@@ -308,6 +308,7 @@ module Stream : sig
   }
 
   val shard_feed :
+    ?obs:Obs.t ->
     ?on_corrupt:[ `Fail | `Skip ] ->
     ?prefetch:bool ->
     ?codec:codec ->
@@ -319,7 +320,14 @@ module Stream : sig
       (the default).  The delivered trace sequence is independent of
       [prefetch].  Unpulled shards are never decoded — the property
       adaptive campaigns stop early on.  Raises like {!map_shards} on
-      corrupt shards under [`Fail]. *)
+      corrupt shards under [`Fail].
+
+      The first [close] emits the pass's counters to [?obs] (default
+      {!Obs.null}) from the calling domain: [tracestore.shards] and
+      [tracestore.bytes] for the shards the pass consumed,
+      [tracestore.traces] for the traces it delivered, and
+      [dema.shards_skipped] when corrupt shards were dropped.  A pass
+      read to its end reports the whole store, as {!map_shards} does. *)
 
   val rank_until :
     ?ctx:Ctx.t ->

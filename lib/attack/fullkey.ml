@@ -10,6 +10,11 @@ type result = {
 let component_muls = function `Re -> [ 0; 3 ] | `Im -> [ 1; 2 ]
 let mul_known (re, im) = function 0 | 2 -> re | _ -> im
 
+(* Unit [t] is the (coefficient, component) task [2 coeff + mul]; [mul]
+   (0 or 1) also names the strategy's multiplication. *)
+let unit_of t = (t lsr 1, if t land 1 = 0 then `Re else `Im)
+let mul_of = function `Re -> 0 | `Im -> 1
+
 (* Fan the 2n independent (coefficient, component) attacks across the
    pool; leftover parallelism goes to the candidate sweeps inside.  Each
    task runs under a [Obs.buffered] child context (single-owner, one per
@@ -27,8 +32,7 @@ let fan_tasks ~ctx ~n task =
       (fun t ->
         let child = Obs.buffered obs in
         let tctx = Ctx.with_obs child (Ctx.with_jobs inner ctx) in
-        let k = t lsr 1 in
-        let component = if t land 1 = 0 then `Re else `Im in
+        let k, component = unit_of t in
         let r =
           Obs.span child "fullkey.task"
             ~fields:
@@ -59,8 +63,8 @@ let recover_f_fft ?ctx ?jobs ?leakage ~traces ~n strategy =
   @@ fun () ->
   fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
       let views = Recover.views_for traces ~coeff ~component in
-      let mul = match component with `Re -> 0 | `Im -> 1 in
-      Recover.coefficient ~ctx:tctx ?leakage ~strategy:(strategy ~coeff ~mul)
+      Recover.coefficient ~ctx:tctx ?leakage
+        ~strategy:(strategy ~coeff ~mul:(mul_of component))
         views)
 
 let recover_key ?ctx ?jobs ?leakage ~traces ~h strategy =
@@ -70,66 +74,97 @@ let recover_key ?ctx ?jobs ?leakage ~traces ~h strategy =
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in
   { f_fft; f; keypair }
 
-(* ---- out-of-core variant over a Tracestore campaign ----
+(* ---- out-of-core recovery over a Tracestore campaign ----
 
-   One streaming pass per (coefficient, component) task extracts just
-   that task's two 16-sample windows and known operands — O(D) floats —
-   then runs the unchanged per-coefficient attack on them.  Extraction
-   is arithmetic-free and in shard order, so the views are exactly the
-   ones [Recover.views_for] builds from the in-memory corpus and the
-   recovered key is bit-identical to [recover_key] at every [jobs];
-   peak memory is one decoded shard per domain plus the extracted
-   windows, never the whole campaign. *)
-let store_views ?on_corrupt ?prefetch ~ctx ~reader ~coeff ~component () =
+   One streaming pass: each decoded batch is copied once into 2n
+   per-unit buffers, a unit being one (coefficient, component) task,
+   and the unchanged per-coefficient attack then runs on views built
+   from them.  A buffer holds, per trace, the unit's two 16-sample
+   windows (view order of [component_muls]) and its coefficient's
+   FFT(c) pair, in Bigarrays sized from the campaign's trace count:
+   O(traces x n) words, kept off the OCaml heap so the major GC neither
+   scans nor grows for them, and each dropped as soon as its task has
+   built its views.  Copying is arithmetic-free and in shard order, so
+   a task's views are exactly the ones [Recover.views_for] builds from
+   the in-memory corpus. *)
+
+type buffer = {
+  coeff : int;
+  muls : int list;
+  samples : int array;  (* 32 absolute sample indices, window order *)
+  rows : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t;
+  cs : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array2.t;
+      (* FFT(c) of the coefficient: re, im *)
+  mutable fill : int;
+}
+
+let buffer_create ~cap t =
+  let coeff, component = unit_of t in
   let muls = component_muls component in
   let samples =
-    List.concat_map
-      (fun m ->
-        List.init Leakage.events_per_mul (fun i ->
-            (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul) + i))
-      muls
+    Array.of_list
+      (List.concat_map
+         (fun m ->
+           List.init Leakage.events_per_mul (fun i ->
+               (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul) + i))
+         muls)
   in
-  let known (t : Leakage.trace) =
-    (t.c_fft.Fft.re.(coeff), t.c_fft.Fft.im.(coeff))
-  in
-  let narrow, ks =
-    Dema.Stream.extract ~ctx:(Ctx.sequential ctx) ?on_corrupt ?prefetch reader
-      ~samples ~known
-  in
+  {
+    coeff;
+    muls;
+    samples;
+    rows = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout cap (Array.length samples);
+    cs = Bigarray.Array2.create Bigarray.int64 Bigarray.c_layout cap 2;
+    fill = 0;
+  }
+
+(* Copy a batch in after the rows already held; returns its first row. *)
+let buffer_append b (batch : Leakage.trace array) =
+  let base = b.fill in
+  Array.iteri
+    (fun i (t : Leakage.trace) ->
+      let r = base + i in
+      Array.iteri (fun j s -> b.rows.{r, j} <- t.Leakage.samples.(s)) b.samples;
+      b.cs.{r, 0} <- t.Leakage.c_fft.Fft.re.(b.coeff);
+      b.cs.{r, 1} <- t.Leakage.c_fft.Fft.im.(b.coeff))
+    batch;
+  b.fill <- base + Array.length batch;
+  base
+
+let buffer_known b m r = mul_known (b.cs.{r, 0}, b.cs.{r, 1}) m
+
+let buffer_views b =
   List.mapi
     (fun vi m ->
       let lo = vi * Leakage.events_per_mul in
       {
         Recover.traces =
-          Array.map (fun row -> Array.sub row lo Leakage.events_per_mul) narrow;
-        known =
-          Array.map (fun (re, im) -> match m with 0 | 2 -> re | _ -> im) ks;
+          Array.init b.fill (fun r ->
+              Array.init Leakage.events_per_mul (fun i -> b.rows.{r, lo + i}));
+        known = Array.init b.fill (buffer_known b m);
       })
-    muls
+    b.muls
 
-(* ---- adaptive (early-stopping) variant ----
+(* ---- adaptive (early-stopping) campaign over the same pass ----
 
-   One single streaming pass over the campaign with 2n live units (vs
-   one pass per task above): each batch is decoded once and every
-   still-undecided unit extracts its two windows from it, buffers them
-   (the prefix its final attack will run on) and folds two incremental
-   decision sweeps — low mantissa half on [w00; w10; z1a] over the
-   width-25 candidate set (z1a is what breaks the exact shift-alias
-   ties of w00/w10) and high half on [w01; w11] over the width-28
-   candidates (whose [lo] excludes shift aliases, so no d-dependent
-   part is needed).  The unit's reported gap is the {e weaker} of the
-   two sweeps' standardised gaps, so a stop certifies both halves
-   separated at the spent level.  Once stopped, the unit is retired:
-   its buffer stops growing and later batches skip its scoring
-   entirely.  The unchanged per-coefficient attack then runs on each
-   unit's buffered prefix.
+   With [?stop] the 2n units are live: every still-undecided unit
+   copies each batch into its buffer (the prefix its final attack will
+   run on) and folds two incremental decision sweeps — low mantissa
+   half on [w00; w10; z1a] over the width-25 candidate set (z1a is what
+   breaks the exact shift-alias ties of w00/w10) and high half on
+   [w01; w11] over the width-28 candidates (whose [lo] excludes shift
+   aliases, so no d-dependent part is needed).  The unit's reported gap
+   is the {e weaker} of the two sweeps' standardised gaps, so a stop
+   certifies both halves separated at the spent level.  Once stopped,
+   the unit is retired: its buffer stops growing and later batches skip
+   its scoring entirely.
 
    Determinism: batches arrive in shard order whatever the prefetch
-   setting, each unit's sweeps are folded only by its own unit in batch
-   order with single-job inner sweeps (unit-level parallelism comes
-   from the campaign driver), and decisions run on the owner domain in
-   unit order — stop points, winners and the recovered key are
-   bit-identical at every [jobs] and backend. *)
+   setting, each unit's buffer and sweeps are touched only by its own
+   fold in batch order with single-job inner sweeps (unit-level
+   parallelism comes from the campaign driver), and decisions run on
+   the owner domain in unit order — stop points, winners and the
+   recovered key are bit-identical at every [jobs] and backend. *)
 
 let decision_candidates strategy ~coeff ~mul =
   match (strategy ~coeff ~mul : Recover.strategy) with
@@ -144,70 +179,18 @@ let decision_candidates strategy ~coeff ~mul =
         Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:(xu lsr 25) ~decoys ()
       )
 
-type unit_state = {
-  u_samples : int array;  (* 32 absolute sample indices, window order *)
-  u_muls : int list;
-  (* buffered prefix, newest segment first: (D_b x 32 window rows, knowns) *)
-  u_segs : (float array array * (Fpr.t * Fpr.t) array) list ref;
-  u_low : Fpr.t Dema.Sweep.t;
-  u_high : Fpr.t Dema.Sweep.t;
-}
-
-let make_unit ~backend strategy ~coeff ~component =
-  let muls = component_muls component in
-  let samples =
-    Array.of_list
-      (List.concat_map
-         (fun m ->
-           List.init Leakage.events_per_mul (fun i ->
-               (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul)
-               + i))
-         muls)
-  in
-  let mul = match component with `Re -> 0 | `Im -> 1 in
-  let low_cands, high_cands = decision_candidates strategy ~coeff ~mul in
-  let spread models =
-    List.concat_map
-      (fun m -> List.map (fun _ -> m) muls)
-      models
-  in
-  {
-    u_samples = samples;
-    u_muls = muls;
-    u_segs = ref [];
-    u_low =
-      Dema.Sweep.create ~backend
-        ~parts:(spread [ Recover.p_w00; Recover.p_w10; Recover.p_z1a ])
-        low_cands;
-    u_high =
-      Dema.Sweep.create ~backend
-        ~parts:(spread [ Recover.p_w01; Recover.p_w11 ])
-        high_cands;
-  }
-
-let unit_fold u (batch : Leakage.trace array) ~coeff =
-  let rows =
-    Array.map
-      (fun (t : Leakage.trace) ->
-        Array.map (fun s -> t.Leakage.samples.(s)) u.u_samples)
-      batch
-  in
-  let ks =
-    Array.map
-      (fun (t : Leakage.trace) ->
-        (t.Leakage.c_fft.Fft.re.(coeff), t.Leakage.c_fft.Fft.im.(coeff)))
-      batch
-  in
-  u.u_segs := (rows, ks) :: !(u.u_segs);
+let unit_fold b ~low ~high batch =
+  let base = buffer_append b batch in
+  let len = Array.length batch in
   (* per-view known operands and per-(view, label) columns *)
   let kvs =
     Array.of_list
-      (List.map (fun m -> Array.map (fun k -> mul_known k m) ks) u.u_muls)
+      (List.map (fun m -> Array.init len (fun r -> buffer_known b m (base + r))) b.muls)
   in
   let nviews = Array.length kvs in
   let col vi lbl =
     let off = (vi * Leakage.events_per_mul) + Recover.sample lbl in
-    Array.map (fun row -> Array.unsafe_get row off) rows
+    Array.init len (fun r -> b.rows.{base + r, off})
   in
   let segs labels =
     Array.concat
@@ -215,86 +198,43 @@ let unit_fold u (batch : Leakage.trace array) ~coeff =
          (fun lbl -> Array.init nviews (fun vi -> (col vi lbl, kvs.(vi))))
          labels)
   in
-  Dema.Sweep.fold ~jobs:1 u.u_low
-    (segs [ Fpr.Mant_w00; Fpr.Mant_w10; Fpr.Mant_z1a ]);
-  Dema.Sweep.fold ~jobs:1 u.u_high (segs [ Fpr.Mant_w01; Fpr.Mant_w11 ])
+  Dema.Sweep.fold ~jobs:1 low (segs [ Fpr.Mant_w00; Fpr.Mant_w10; Fpr.Mant_z1a ]);
+  Dema.Sweep.fold ~jobs:1 high (segs [ Fpr.Mant_w01; Fpr.Mant_w11 ])
 
 (* The unit separates only when BOTH halves do: report the weaker
    sweep's leaders, so the tester's one-sided gap test certifies the
    minimum of the two standardised gaps. *)
-let unit_leaders u =
-  let ll = Dema.Sweep.leaders ~jobs:1 u.u_low in
-  let lh = Dema.Sweep.leaders ~jobs:1 u.u_high in
-  let n = Dema.Sweep.n u.u_low in
+let unit_leaders ~low ~high () =
+  let ll = Dema.Sweep.leaders ~jobs:1 low in
+  let lh = Dema.Sweep.leaders ~jobs:1 high in
+  let n = Dema.Sweep.n low in
   let z (l : Sequential.Campaign.leaders) =
     Stats.Signif.corr_gap_z ~n ~r1:l.best ~r2:l.runner_up
   in
   if z ll <= z lh then ll else lh
 
-let unit_views u =
-  let rows = Array.concat (List.rev_map fst !(u.u_segs)) in
-  let ks = Array.concat (List.rev_map snd !(u.u_segs)) in
-  List.mapi
-    (fun vi m ->
-      {
-        Recover.traces =
-          Array.map
-            (fun row -> Array.sub row (vi * Leakage.events_per_mul) Leakage.events_per_mul)
-            rows;
-        known = Array.map (fun k -> mul_known k m) ks;
-      })
-    u.u_muls
-
-let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
-    ~max_traces ~stop_report ~reader strategy n =
-  let fd =
-    Dema.Stream.shard_feed
-      ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
-      ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
-      ?max_traces reader
+let campaign_unit ~backend strategy t b =
+  let coeff, component = unit_of t in
+  let low_cands, high_cands =
+    decision_candidates strategy ~coeff ~mul:(mul_of component)
   in
-  let tasks = 2 * n in
-  let units =
-    Array.init tasks (fun t ->
-        let coeff = t lsr 1 in
-        let component = if t land 1 = 0 then `Re else `Im in
-        make_unit ~backend:(Ctx.kernel c) strategy ~coeff ~component)
+  let spread models = List.concat_map (fun m -> List.map (fun _ -> m) b.muls) models in
+  let low =
+    Dema.Sweep.create ~backend
+      ~parts:(spread [ Recover.p_w00; Recover.p_w10; Recover.p_z1a ])
+      low_cands
   in
-  let campaign_units =
-    Array.mapi
-      (fun t u ->
-        let coeff = t lsr 1 in
-        {
-          Sequential.Campaign.fold = (fun batch -> unit_fold u batch ~coeff);
-          leaders = (fun () -> unit_leaders u);
-        })
-      units
+  let high =
+    Dema.Sweep.create ~backend ~parts:(spread [ Recover.p_w01; Recover.p_w11 ]) high_cands
   in
-  let results =
-    Fun.protect ~finally:fd.Dema.Stream.close (fun () ->
-        Sequential.Campaign.run ~jobs:c.Ctx.jobs ~obs:c.Ctx.obs ~spec
-          ~total:fd.Dema.Stream.total ~feed:fd.Dema.Stream.next
-          ~length:Array.length campaign_units)
-  in
-  (match stop_report with
-  | Some f ->
-      f (Sequential.Campaign.summarize ~total:fd.Dema.Stream.total results)
-  | None -> ());
-  (let sk = fd.Dema.Stream.skipped () in
-   if Obs.enabled c.Ctx.obs && sk > 0 then
-     Obs.count c.Ctx.obs "dema.shards_skipped" sk);
-  (* the unchanged per-coefficient attack, on each unit's buffered prefix *)
-  fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
-      let t = (2 * coeff) + match component with `Re -> 0 | `Im -> 1 in
-      let views = unit_views units.(t) in
-      let mul = match component with `Re -> 0 | `Im -> 1 in
-      Recover.coefficient ~ctx:tctx ~strategy:(strategy ~coeff ~mul) views)
+  { Sequential.Campaign.fold = unit_fold b ~low ~high; leaders = unit_leaders ~low ~high }
 
 let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
     ?max_traces ?stop_report ~reader strategy =
   let c = Ctx.resolve ?ctx ?jobs () in
+  let obs = c.Ctx.obs in
   let n = (Tracestore.Reader.meta reader).Tracestore.n in
-  Obs.span c.Ctx.obs "fullkey.recover_f_fft_store"
+  Obs.span obs "fullkey.recover_f_fft_store"
     ~fields:
       [
         ("n", Obs.Int n);
@@ -302,32 +242,63 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
         ("adaptive", Obs.Bool (stop <> None));
       ]
   @@ fun () ->
-  match stop with
-  | Some spec ->
-      (* The adaptive driver's streaming decision sweeps need a d-free
-         part set per half; under bus-HD every usable high-half
-         transition takes the recovered d, so there is no high sweep to
-         decide on.  Mirror the Exhaustive rejection rather than decide
-         on a mismatched model. *)
-      if leakage = Some `Hd || (leakage = None && c.Ctx.leakage = `Hd) then
-        invalid_arg
-          "Fullkey: ?stop is not available under `Hd leakage — the streaming \
-           decision sweeps have no d-free Hamming-distance part set";
-      if Distinguisher.is_profiled c.Ctx.backend then
-        invalid_arg
-          "Fullkey: ?stop is not available under the profiled distinguisher — \
-           the sequential gap testers are correlation statistics";
-      recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
-        ~max_traces ~stop_report ~reader strategy n
-  | None ->
-      fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
-          let views =
-            store_views ?on_corrupt ?prefetch ~ctx:tctx ~reader ~coeff
-              ~component ()
-          in
-          let mul = match component with `Re -> 0 | `Im -> 1 in
-          Recover.coefficient ~ctx:tctx ?leakage ~strategy:(strategy ~coeff ~mul)
-            views)
+  if stop <> None then begin
+    (* The adaptive driver's streaming decision sweeps need a d-free
+       part set per half; under bus-HD every usable high-half
+       transition takes the recovered d, so there is no high sweep to
+       decide on.  Mirror the Exhaustive rejection rather than decide
+       on a mismatched model. *)
+    if leakage = Some `Hd || (leakage = None && c.Ctx.leakage = `Hd) then
+      invalid_arg
+        "Fullkey: ?stop is not available under `Hd leakage — the streaming \
+         decision sweeps have no d-free Hamming-distance part set";
+    if Distinguisher.is_profiled c.Ctx.backend then
+      invalid_arg
+        "Fullkey: ?stop is not available under the profiled distinguisher — \
+         the sequential gap testers are correlation statistics"
+  end;
+  let bufs =
+    Obs.span obs "fullkey.store_pass" @@ fun () ->
+    let fd =
+      Dema.Stream.shard_feed ~obs
+        ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
+        ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
+        ?max_traces reader
+    in
+    Fun.protect ~finally:fd.Dema.Stream.close @@ fun () ->
+    let total = fd.Dema.Stream.total in
+    let bufs = Array.init (2 * n) (buffer_create ~cap:total) in
+    (match stop with
+    | None ->
+        let rec loop () =
+          match fd.Dema.Stream.next () with
+          | None -> ()
+          | Some batch ->
+              Array.iter (fun b -> ignore (buffer_append b batch)) bufs;
+              loop ()
+        in
+        loop ()
+    | Some spec ->
+        let units = Array.mapi (campaign_unit ~backend:(Ctx.kernel c) strategy) bufs in
+        let results =
+          Sequential.Campaign.run ~jobs:c.Ctx.jobs ~obs ~spec ~total
+            ~feed:fd.Dema.Stream.next ~length:Array.length units
+        in
+        Option.iter
+          (fun f -> f (Sequential.Campaign.summarize ~total results))
+          stop_report);
+    bufs
+  in
+  (* the unchanged per-coefficient attack on each unit's buffered
+     traces; a task drops its buffer once its views are built *)
+  let slots = Array.map Option.some bufs in
+  fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
+      let t = (2 * coeff) + mul_of component in
+      let views = buffer_views (Option.get slots.(t)) in
+      slots.(t) <- None;
+      Recover.coefficient ~ctx:tctx ?leakage
+        ~strategy:(strategy ~coeff ~mul:(mul_of component))
+        views)
 
 let recover_key_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
     ?max_traces ?stop_report ~reader ~h strategy =

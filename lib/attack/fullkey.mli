@@ -61,32 +61,44 @@ val recover_f_fft_store :
   reader:Tracestore.Reader.t ->
   (coeff:int -> mul:int -> Recover.strategy) ->
   Fft.t
-(** Out-of-core {!recover_f_fft} over a {!Tracestore} campaign: each
-    (coefficient, component) task makes one streaming pass extracting
-    only its two 16-sample windows, so peak memory is bounded by one
-    decoded shard per domain plus O(traces) extracted window floats —
-    never the whole campaign.  Bit-identical to the in-memory path over
-    the same traces, at every [jobs].  [on_corrupt] and [prefetch] are
-    forwarded to {!Dema.Stream.extract}: by default a corrupt shard
-    fails the whole recovery loudly.
+(** Out-of-core {!recover_f_fft} over a {!Tracestore} campaign, in a
+    single streaming pass (a [fullkey.store_pass] span): each shard is
+    read, CRC-checked and decoded once, and every (coefficient,
+    component) unit copies its two 16-sample windows and its
+    coefficient's FFT(c) pair into its own buffer.  The unchanged
+    per-coefficient attacks then run on views built from those
+    buffers, each dropping its buffer once its views are built.  The
+    buffers are Bigarrays off the OCaml heap, sized from the store's
+    trace count: O(traces x n) words, 2n x (32 + 2) per trace (34.8 MB
+    at n = 32 and 2000 traces, 2.8 GB at FALCON-512 with 10k traces) —
+    what the adaptive [?stop] driver buffers — plus one decoded shard
+    (two with prefetch) in flight.  Bit-identical to the in-memory
+    path over the same traces, at every [jobs] and prefetch setting.
+    [?max_traces] caps the campaign at its first that many traces.
+    [on_corrupt] and [prefetch] are forwarded to
+    {!Dema.Stream.shard_feed}: by default a corrupt shard fails the
+    whole recovery loudly; under [`Skip] the result is the in-memory
+    recovery of the surviving traces.  The pass emits one
+    [tracestore.shards] / [tracestore.bytes] / [tracestore.traces]
+    count each.
 
-    {b Adaptive budgets.}  With [?stop], the recovery becomes a single
-    streaming pass with 2n live units: each still-undecided
-    (coefficient, component) buffers its windows from every batch and
-    folds two incremental decision sweeps (low mantissa half on
+    {b Adaptive budgets.}  With [?stop], the 2n units of the same
+    single pass become live: each still-undecided (coefficient,
+    component) buffers its windows from every batch and folds two
+    incremental decision sweeps (low mantissa half on
     [w00; w10; z1a], high half on [w01; w11], over the strategy's
     candidate sets); a unit stops — and is retired from all later
     batches — once the {e weaker} of its two top-1 vs runner-up gaps
     passes the sequential test, and the unchanged per-coefficient
-    attack then runs on its buffered prefix.  [?max_traces] caps the
-    campaign; [?stop_report] receives the per-unit traces-used summary.
+    attack then runs on its buffered prefix.  [?stop_report] receives
+    the per-unit traces-used summary.
     Stop points and the recovered transform are bit-identical across
     [jobs], backends and prefetch settings.  Raises [Invalid_argument]
     if [?stop] is combined with an [Exhaustive] strategy (the 2^25
     space cannot be re-scored at every look) or with [~leakage:`Hd]
     (every usable high-half bus transition takes the recovered d, so
-    there is no d-free decision sweep); [?max_traces] and
-    [?stop_report] are meaningful only with [?stop].
+    there is no d-free decision sweep); [?stop_report] is called only
+    with [?stop].
 
     [?leakage] selects the hypothesis models the per-coefficient
     attacks are matched against (see {!Recover.leakage}); attack a

@@ -558,7 +558,7 @@ let profile ?ctx ?leakage ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
   in
   let feed add =
     let fd =
-      Dema.Stream.shard_feed ~on_corrupt:c.Ctx.on_corrupt
+      Dema.Stream.shard_feed ~obs:c.Ctx.obs ~on_corrupt:c.Ctx.on_corrupt
         ~prefetch:c.Ctx.prefetch ~codec:T.codec ?max_traces reader
     in
     Fun.protect ~finally:(fun () -> fd.Dema.Stream.close ()) @@ fun () ->

@@ -162,7 +162,7 @@ let gs_norm_ok f g =
     n2 <= bound
   end
 
-let keygen ?(max_attempts = 50) ~n ~seed () =
+let keygen ?(max_attempts = 1000) ~n ~seed () =
   let rng = Prng.of_seed seed in
   let sigma = sigma_fg n in
   let rec attempt k =

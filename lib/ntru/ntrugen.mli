@@ -40,7 +40,9 @@ val gs_norm_ok : int array -> int array -> bool
 
 val keygen : ?max_attempts:int -> n:int -> seed:string -> unit -> keypair
 (** Full key generation; deterministic in [seed].  Raises [Failure] after
-    [max_attempts] (default 50) rejected candidates. *)
+    [max_attempts] (default 1000) rejected candidates.  Candidates are
+    drawn from one RNG stream, so a key found within a smaller budget is
+    the key found within any larger one. *)
 
 val recover_from_f : n:int -> f:int array -> h:int array -> keypair option
 (** The post-attack step: given the recovered f and the public h, derive

@@ -135,6 +135,21 @@ let test_sigma_fg_values () =
   Alcotest.(check bool) "monotone" true
     (Ntru.Ntrugen.sigma_fg 64 > Ntru.Ntrugen.sigma_fg 512)
 
+(* About one FALCON-128 seed in 200 rejects more than 50 candidates;
+   this one needs more, and the default budget must cover it.  Seeds
+   the old 50-attempt budget served keep their key. *)
+let test_keygen_budget () =
+  let sk, _ = Falcon.Scheme.keygen ~n:128 ~seed:"perfbench victim 107/2" in
+  let kp = Ntru.Ntrugen.keygen ~max_attempts:1000 ~n:128 ~seed:"perfbench victim 107/2" () in
+  Alcotest.(check (array int)) "same f as a 1000-attempt budget" kp.f sk.Falcon.Scheme.kp.f;
+  (match Ntru.Ntrugen.keygen ~max_attempts:50 ~n:128 ~seed:"perfbench victim 107/2" () with
+  | _ -> Alcotest.fail "seed no longer needs more than 50 attempts"
+  | exception Failure _ -> ());
+  let small = Ntru.Ntrugen.keygen ~max_attempts:50 ~n:16 ~seed:"keygen test" () in
+  let dflt = Ntru.Ntrugen.keygen ~n:16 ~seed:"keygen test" () in
+  Alcotest.(check (array int)) "old-budget key unchanged" small.f dflt.f;
+  Alcotest.(check (array int)) "old-budget h unchanged" small.h dflt.h
+
 let suite =
   [
     Alcotest.test_case "bigpoly mul" `Quick test_bigpoly_mul;
@@ -146,6 +161,7 @@ let suite =
     Alcotest.test_case "NTRUSolve reduces F,G" `Quick test_solve_reduced_coefficients;
     Alcotest.test_case "keygen end-to-end (n=16)" `Quick test_keygen_end_to_end;
     Alcotest.test_case "keygen deterministic" `Quick test_keygen_deterministic;
+    Alcotest.test_case "keygen budget covers rare seeds" `Slow test_keygen_budget;
     Alcotest.test_case "recover key from f" `Quick test_recover_from_f;
     Alcotest.test_case "recovery rejects wrong f" `Quick test_recover_wrong_f_fails;
     Alcotest.test_case "sigma_fg" `Quick test_sigma_fg_values;

@@ -189,25 +189,34 @@ let test_stream_evolution_matches_prefix_rescan () =
   (* deterministic across jobs (same shard-order merge) *)
   Alcotest.(check bool) "evolution jobs-invariant" true (streamed 2 = checkpoints)
 
+let oracle_strategy sk ~coeff ~mul =
+  let truth =
+    if mul = 0 then sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
+    else sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
+  in
+  Attack.Recover.Eval_sampled
+    { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 32; truth }
+
+let same_fft (a : Fft.t) (b : Fft.t) = a.Fft.re = b.Fft.re && a.Fft.im = b.Fft.im
+
+(* 30 traces in shards of 8: the last shard holds only 6 *)
 let test_fullkey_store_matches_memory () =
   with_campaign @@ fun sk traces reader ->
-  let strategy ~coeff ~mul =
-    let truth =
-      if mul = 0 then sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
-      else sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
-    in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 32; truth }
-  in
+  let strategy = oracle_strategy sk in
   let mem = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces ~n:16 strategy in
   List.iter
-    (fun jobs ->
-      let st = Attack.Fullkey.recover_f_fft_store ~jobs ~reader strategy in
+    (fun (jobs, prefetch) ->
+      let st = Attack.Fullkey.recover_f_fft_store ~jobs ~prefetch ~reader strategy in
       Alcotest.(check bool)
-        (Printf.sprintf "store FFT(f) == memory FFT(f) at -j %d" jobs)
-        true
-        (st.Fft.re = mem.Fft.re && st.Fft.im = mem.Fft.im))
-    [ 1; 2 ]
+        (Printf.sprintf "store FFT(f) == memory FFT(f) at -j %d, prefetch %b" jobs
+           prefetch)
+        true (same_fft st mem))
+    [ (1, true); (1, false); (2, true); (2, false); (4, true); (4, false) ];
+  (* a cap inside shard 2 keeps exactly the first 20 traces *)
+  let capped = Attack.Fullkey.recover_f_fft_store ~jobs:2 ~max_traces:20 ~reader strategy in
+  let first = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces:(Array.sub traces 0 20) ~n:16 strategy in
+  Alcotest.(check bool) "max_traces 20 == memory FFT(f) of the first 20 traces" true
+    (same_fft capped first)
 
 let contains_frag msg frag =
   let fl = String.length frag and ml = String.length msg in
@@ -442,6 +451,58 @@ let test_skip_policy_drops_and_counts () =
   in
   Alcotest.(check bool) "dema.shards_skipped == 1 emitted" true skipped
 
+let test_fullkey_corrupt_shard () =
+  with_campaign_dir @@ fun sk traces dir ->
+  flip_byte (Filename.concat dir (Tracestore.shard_name 1)) 40;
+  let strategy = oracle_strategy sk in
+  (match
+     Attack.Fullkey.recover_f_fft_store ~jobs:2
+       ~reader:(Tracestore.Reader.open_store dir)
+       strategy
+   with
+  | _ -> Alcotest.fail "recover_f_fft_store accepted a corrupt shard"
+  | exception Failure msg ->
+      Alcotest.(check bool) "error names shard 1" true (contains_frag msg "shard 1"));
+  let skipped =
+    Attack.Fullkey.recover_f_fft_store ~jobs:2 ~on_corrupt:`Skip
+      ~reader:(Tracestore.Reader.open_store ~policy:`Skip dir)
+      strategy
+  in
+  let kept =
+    Array.of_list
+      (List.filteri (fun i _ -> i < 8 || i >= 16) (Array.to_list traces))
+  in
+  let mem = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces:kept ~n:16 strategy in
+  Alcotest.(check bool) "skip recovery == memory recovery of the surviving traces"
+    true (same_fft skipped mem)
+
+let counts_named name records =
+  List.filter_map
+    (fun r ->
+      if Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt = Some name then
+        Option.bind (Obs.Json.member "value" r) Obs.Json.to_int_opt
+      else None)
+    records
+
+let test_fullkey_store_single_pass () =
+  with_campaign_dir @@ fun sk _traces dir ->
+  let reader = Tracestore.Reader.open_store dir in
+  let shards = Tracestore.Reader.shard_count reader in
+  let bytes =
+    List.fold_left ( + ) 0
+      (List.init shards (fun i -> (Tracestore.Reader.entry reader i).Tracestore.bytes))
+  in
+  let buf = Buffer.create 4096 in
+  let ctx = Attack.Ctx.make ~jobs:2 ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) () in
+  ignore (Attack.Fullkey.recover_f_fft_store ~ctx ~reader (oracle_strategy sk));
+  let records = Obs.Jsonl.read_string (Buffer.contents buf) in
+  Alcotest.(check (list int)) "one tracestore.shards count, of every shard" [ shards ]
+    (counts_named "tracestore.shards" records);
+  Alcotest.(check (list int)) "one tracestore.bytes count, of the whole store" [ bytes ]
+    (counts_named "tracestore.bytes" records);
+  Alcotest.(check (list int)) "one tracestore.traces count, of every trace" [ 30 ]
+    (counts_named "tracestore.traces" records)
+
 let test_mmap_matches_read () =
   with_campaign_dir @@ fun sk _traces dir ->
   let mmap = Tracestore.Reader.open_store ~access:`Mmap dir in
@@ -502,6 +563,10 @@ let suite =
       test_truncated_shard_fails_loudly;
     Alcotest.test_case "skip policy drops the shard and counts it" `Quick
       test_skip_policy_drops_and_counts;
+    Alcotest.test_case "fullkey store: corrupt shard fails, skip == survivors" `Slow
+      test_fullkey_corrupt_shard;
+    Alcotest.test_case "fullkey store reads the store in one pass" `Quick
+      test_fullkey_store_single_pass;
     Alcotest.test_case "mmap and read decode identically" `Quick
       test_mmap_matches_read;
     Alcotest.test_case "prefetch on/off bit-identical at every jobs" `Quick
