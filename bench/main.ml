@@ -274,7 +274,7 @@ let headline () =
             { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
         in
         let t0 = Unix.gettimeofday () in
-        let res = Attack.Fullkey.recover_key ~jobs ~traces ~h:pk.h strategy in
+        let res = Attack.Fullkey.recover_key ~traces ~h:pk.h strategy in
         let wall = Unix.gettimeofday () -. t0 in
         let ok = Attack.Fullkey.count_correct res.f_fft ~truth:sk.f_fft in
         let forged =
@@ -531,13 +531,13 @@ let stream () =
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
   let t0 = Unix.gettimeofday () in
   let mem_ranked =
-    Attack.Dema.rank ~jobs ~traces:rows ~parts ~known:ks ~top:8
+    Attack.Dema.rank ~traces:rows ~parts ~known:ks ~top:8
       (Array.to_seq candidates)
   in
   let mem_s = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let stream_ranked =
-    Attack.Dema.Stream.rank ~jobs reader ~parts
+    Attack.Dema.Stream.rank reader ~parts
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
       ~top:8 (Array.to_seq candidates)
   in
@@ -554,7 +554,7 @@ let stream () =
 
   (* evolution checkpoints: shard-merged accumulators vs prefix rescans *)
   let stream_evo =
-    Attack.Dema.Stream.evolution ~jobs reader
+    Attack.Dema.Stream.evolution reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
       ~model:Attack.Recover.m_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
@@ -617,7 +617,7 @@ let assess () =
         in
         let t0 = Unix.gettimeofday () in
         let r =
-          Assess.Tvla.of_entries ~jobs ~classify:Assess.Tvla.fixed_vs_random entries
+          Assess.Tvla.of_entries ~classify:Assess.Tvla.fixed_vs_random entries
         in
         let tvla_s = Unix.gettimeofday () -. t0 in
         let lo, hi = Assess.Campaign.assessed_region defense in
@@ -635,7 +635,7 @@ let assess () =
   let budget = max 64 (min trace_budget 300) in
   let t0 = Unix.gettimeofday () in
   let outcome =
-    Assess.Metrics.run ~jobs
+    Assess.Metrics.run
       { Assess.Metrics.defense = `None; noise; budget; experiments = 4; decoys = 64;
         seed }
   in
@@ -701,12 +701,17 @@ let pearson () =
       (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_w10);
     ]
   in
-  let rank backend () =
-    Attack.Dema.rank ~jobs ~backend ~traces ~parts ~known ~top:32
-      (Array.to_seq guesses)
+  let rank distinguisher () =
+    Attack.Dema.rank
+      ~ctx:(Attack.Ctx.make ~distinguisher ())
+      ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
-  let scalar_rank, rank_scalar_s = time_best (rank Stats.Pearson.Batch.Scalar) in
-  let batched_rank, rank_batched_s = time_best (rank Stats.Pearson.Batch.Batched) in
+  let scalar_rank, rank_scalar_s =
+    time_best (rank Attack.Distinguisher.Pearson_scalar)
+  in
+  let batched_rank, rank_batched_s =
+    time_best (rank Attack.Distinguisher.Pearson_batched)
+  in
   let rank_identical = scalar_rank = batched_rank in
   let rank_speedup = rank_scalar_s /. rank_batched_s in
   Printf.printf
@@ -717,7 +722,7 @@ let pearson () =
      Debug level, span durations parsed back out of the JSONL log *)
   let span_buf = Buffer.create 4096 in
   let obs_ctx =
-    Attack.Ctx.make ~jobs ~backend:Stats.Pearson.Batch.Batched
+    Attack.Ctx.make ~distinguisher:Attack.Distinguisher.Pearson_batched
       ~obs:(Obs.make ~level:Obs.Debug (Obs.Jsonl.to_buffer span_buf))
       ()
   in
@@ -859,9 +864,8 @@ let pearson () =
    Fisher-z stopping at alpha) versus the fixed-budget streaming
    recovery over the same sharded store.  The adaptive run must recover
    the same key while reading at most half the traces on mean, and its
-   stop points must be bit-identical across jobs, backends and prefetch
-   settings.  Emits one JSON row (BENCH_sequential.json) which
-   check-bench gates on. *)
+   stop points must be bit-identical across jobs and backends.  Emits
+   one JSON row (BENCH_sequential.json) which check-bench gates on. *)
 
 let sequential () =
   section "Sequential — adaptive early stopping vs fixed trace budget";
@@ -897,13 +901,13 @@ let sequential () =
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
   in
   let t0 = Unix.gettimeofday () in
-  let fixed = Attack.Fullkey.recover_f_fft_store ~jobs ~reader strategy in
+  let fixed = Attack.Fullkey.recover_f_fft_store ~reader strategy in
   let fixed_s = Unix.gettimeofday () -. t0 in
   let spec = Sequential.Decision.spec ~alpha () in
   let summary = ref None in
   let t0 = Unix.gettimeofday () in
   let adaptive =
-    Attack.Fullkey.recover_f_fft_store ~jobs ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~stop:spec
       ~stop_report:(fun s -> summary := Some s)
       ~reader strategy
   in
@@ -918,12 +922,14 @@ let sequential () =
     Array.fold_left (fun acc u -> acc +. float_of_int u) 0. used /. float_of_int units
   in
   let median = used.((units - 1) / 2) in
-  (* determinism probe: same campaign on one worker, the scalar backend
-     and no prefetch — stop points and recovered key must be bit-identical *)
+  (* determinism probe: same campaign on one worker and the scalar
+     backend — stop points and recovered key must be bit-identical *)
   let summary2 = ref None in
-  let scalar_ctx = Attack.Ctx.make ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar () in
+  let scalar_ctx =
+    Attack.Ctx.make ~jobs:1 ~distinguisher:Attack.Distinguisher.Pearson_scalar ()
+  in
   let adaptive2 =
-    Attack.Fullkey.recover_f_fft_store ~ctx:scalar_ctx ~prefetch:false ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:scalar_ctx ~stop:spec
       ~stop_report:(fun s -> summary2 := Some s)
       ~reader strategy
   in
@@ -953,7 +959,7 @@ let sequential () =
     s.Sequential.Campaign.traces_saved;
   Printf.printf "adaptive key identical to fixed-budget key: %b\n%!" keys_identical;
   Printf.printf
-    "stops and key bit-identical at jobs=1 + scalar backend + no prefetch: %b\n%!"
+    "stops and key bit-identical at jobs=1 + scalar backend: %b\n%!"
     stops_identical;
   let oc = open_out "BENCH_sequential.json" in
   Printf.fprintf oc
@@ -971,11 +977,12 @@ let sequential () =
 
 (* ---------------------------------------------------------------- *)
 (* Observability overhead: the same end-to-end ranking sweep with no
-   context (the legacy call), a Null-sink context and a JSONL-sink
-   context.  Instrumentation must be observationally transparent — all
-   three rankings are asserted bit-identical — and the Null sink is
-   required to cost nothing measurable (the acceptance bar is 2%).
-   Emits one JSON row (BENCH_obs.json). *)
+   context (the call without [~ctx], on the process defaults), a
+   Null-sink context and a JSONL-sink context.  Instrumentation must be
+   observationally transparent — all three rankings are asserted
+   bit-identical — and the Null sink is required to cost nothing
+   measurable (the acceptance bar is 2%).  Emits one JSON row
+   (BENCH_obs.json). *)
 
 let obs_bench () =
   section "Obs — instrumentation overhead on the end-to-end ranking sweep";
@@ -994,8 +1001,8 @@ let obs_bench () =
   in
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" (Array.length guesses)
     (Array.length traces) jobs;
-  let legacy () =
-    Attack.Dema.rank ~jobs ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
+  let no_ctx () =
+    Attack.Dema.rank ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
   let null_ctx = Attack.Ctx.with_jobs jobs (Attack.Ctx.default ()) in
   let null () =
@@ -1008,8 +1015,8 @@ let obs_bench () =
     let ctx = Attack.Ctx.with_obs (Obs.make (Obs.Jsonl.to_buffer buf)) null_ctx in
     Attack.Dema.rank ~ctx ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
-  let r_legacy = legacy () in
-  let identical = r_legacy = null () && r_legacy = jsonl () in
+  let r_no_ctx = no_ctx () in
+  let identical = r_no_ctx = null () && r_no_ctx = jsonl () in
   let events =
     List.length (String.split_on_char '\n' (String.trim (Buffer.contents buf)))
   in
@@ -1020,7 +1027,7 @@ let obs_bench () =
      systematically lands on contestant k+1 and masquerades as sink
      overhead. *)
   let rounds = 12 in
-  let contestants = [| legacy; null; jsonl |] in
+  let contestants = [| no_ctx; null; jsonl |] in
   let best = Array.make 3 infinity in
   for round = 0 to rounds - 1 do
     for k = 0 to 2 do
@@ -1030,23 +1037,23 @@ let obs_bench () =
       best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0)
     done
   done;
-  let legacy_s = best.(0) and null_s = best.(1) and jsonl_s = best.(2) in
+  let no_ctx_s = best.(0) and null_s = best.(1) and jsonl_s = best.(2) in
   let pct base s = (s -. base) /. base *. 100. in
-  Printf.printf "sink      | time (s) | overhead vs legacy\n";
+  Printf.printf "sink      | time (s) | overhead vs no ctx\n";
   Printf.printf "----------+----------+-------------------\n";
-  Printf.printf "legacy    | %8.4f | --\n" legacy_s;
-  Printf.printf "null      | %8.4f | %+.2f%%\n" null_s (pct legacy_s null_s);
+  Printf.printf "no ctx    | %8.4f | --\n" no_ctx_s;
+  Printf.printf "null      | %8.4f | %+.2f%%\n" null_s (pct no_ctx_s null_s);
   Printf.printf "jsonl     | %8.4f | %+.2f%% (%d events per run)\n%!" jsonl_s
-    (pct legacy_s jsonl_s) events;
+    (pct no_ctx_s jsonl_s) events;
   Printf.printf "rankings bit-identical across sinks: %b\n" identical;
   let oc = open_out "BENCH_obs.json" in
   Printf.fprintf oc
     "{\"section\":\"obs\",\"traces\":%d,\"guesses\":%d,\"jobs\":%d,\
-     \"legacy_s\":%.5f,\"null_s\":%.5f,\"jsonl_s\":%.5f,\
+     \"no_ctx_s\":%.5f,\"null_s\":%.5f,\"jsonl_s\":%.5f,\
      \"null_overhead_pct\":%.3f,\"jsonl_overhead_pct\":%.3f,\
      \"jsonl_events\":%d,\"bit_identical\":%b}\n"
-    (Array.length traces) (Array.length guesses) jobs legacy_s null_s jsonl_s
-    (pct legacy_s null_s) (pct legacy_s jsonl_s) events identical;
+    (Array.length traces) (Array.length guesses) jobs no_ctx_s null_s jsonl_s
+    (pct no_ctx_s null_s) (pct no_ctx_s jsonl_s) events identical;
   close_out oc;
   Printf.printf "wrote BENCH_obs.json\n"
 
@@ -1057,7 +1064,7 @@ let obs_bench () =
    end-to-end story (jitter degrades the unaligned attack, realignment
    restores top-1 full-key recovery); the HD-vs-HW measurement cost as
    an MTD ratio between the aligned and realigned HD campaigns; and a
-   determinism probe across jobs x prefetch.  Emits one JSON row
+   determinism probe across jobs.  Emits one JSON row
    (BENCH_leakage.json) which check-bench gates on. *)
 
 let leakage_bench () =
@@ -1100,7 +1107,7 @@ let leakage_bench () =
   Tracestore.Writer.close writer;
   rm_store dst;
   let t0 = Unix.gettimeofday () in
-  let st = Align.realign_store ~jobs ~max_shift ~src ~dst () in
+  let st = Align.realign_store ~max_shift ~src ~dst () in
   let realign_s = Unix.gettimeofday () -. t0 in
   let realign_tps = float_of_int st.Align.traces /. realign_s in
   Printf.printf
@@ -1115,7 +1122,11 @@ let leakage_bench () =
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
   in
   let attack name traces =
-    let res = Attack.Fullkey.recover_key ~jobs ~leakage:`Hd ~traces ~h:pk.h strategy in
+    let res =
+      Attack.Fullkey.recover_key
+        ~ctx:(Attack.Ctx.make ~leakage:`Hd ())
+        ~traces ~h:pk.h strategy
+    in
     let correct = Attack.Fullkey.count_correct res.Attack.Fullkey.f_fft ~truth:sk.f_fft in
     Printf.printf "bus-HD attack on %-9s: %2d / %2d coefficients, full key %b\n%!"
       name correct (2 * n)
@@ -1160,7 +1171,7 @@ let leakage_bench () =
             mtd_clean
         in
         let rows, _ =
-          Align.realign_rows ~jobs ~max_shift ~fill:mtd_model.Leakage.baseline
+          Align.realign_rows ~max_shift ~fill:mtd_model.Leakage.baseline
             rows
         in
         Array.map2
@@ -1203,23 +1214,25 @@ let leakage_bench () =
   in
   Printf.printf "realignment recovers %.0f%% of the aligned-store MTD\n%!"
     (100. *. realign_recovery);
-  (* determinism: same destination bytes at every jobs x prefetch *)
-  let variant (j, pf) =
-    let d = Filename.concat tmp (Printf.sprintf "fd_bench_leak_det_%d_%b" j pf) in
+  (* determinism: same destination bytes at every jobs *)
+  let variant j =
+    let d = Filename.concat tmp (Printf.sprintf "fd_bench_leak_det_%d" j) in
     rm_store d;
-    let st = Align.realign_store ~jobs:j ~prefetch:pf ~max_shift ~src ~dst:d () in
+    let st =
+      Align.realign_store ~ctx:(Attack.Ctx.make ~jobs:j ()) ~max_shift ~src ~dst:d ()
+    in
     let r = Tracestore.Reader.open_store d in
     let records = Array.of_seq (Tracestore.Reader.to_seq r) in
     rm_store d;
     (st, records)
   in
-  let outs = List.map variant [ (1, false); (2, true); (4, false); (4, true) ] in
+  let outs = List.map variant [ 1; 2; 4 ] in
   let deterministic =
     match outs with
     | first :: rest -> List.for_all (fun o -> o = first) rest
     | [] -> false
   in
-  Printf.printf "bit-identical realignment across jobs 1/2/4 x prefetch: %b\n%!"
+  Printf.printf "bit-identical realignment across jobs 1/2/4: %b\n%!"
     deterministic;
   let oc = open_out "BENCH_leakage.json" in
   Printf.fprintf oc
@@ -1241,8 +1254,8 @@ let leakage_bench () =
 (* ---------------------------------------------------------------- *)
 (* Target framework: the scheme-agnostic attack interface must be a
    free abstraction.  HQC end to end: full-recovery success rate over
-   independently seeded sharded campaigns plus a jobs x backend x
-   prefetch determinism probe on the recovered witness.  FALCON: the
+   independently seeded sharded campaigns plus a jobs x backend
+   determinism probe on the recovered witness.  FALCON: the
    streaming ranking through Target.Falcon.parts versus the same part
    set built by hand in the pre-target idiom — bit-identical rankings
    within 5% throughput.  Emits one JSON row (BENCH_target.json) which
@@ -1278,26 +1291,24 @@ let target_bench () =
      (SR %.2f) in %.2fs\n%!"
     experiments hqc_budget noise successes experiments hqc_sr hqc_s;
   (* determinism probe on campaign 0: the whole outcome — witness
-     included — must survive every jobs x backend x prefetch change *)
+     included — must survive every jobs x backend change *)
   let dir0, o0 = List.hd outcomes in
-  let variant (j, backend, pf) =
+  let variant (j, distinguisher) =
     let reader = Tracestore.Reader.open_store dir0 in
-    H.recover_store
-      ~ctx:(Attack.Ctx.make ~jobs:j ~backend ())
-      ~prefetch:pf ~dir:dir0 reader
+    H.recover_store ~ctx:(Attack.Ctx.make ~jobs:j ~distinguisher ()) ~dir:dir0 reader
   in
   let hqc_deterministic =
     List.for_all
       (fun cfg -> variant cfg = o0)
       [
-        (1, Stats.Pearson.Batch.Scalar, false);
-        (2, Stats.Pearson.Batch.Batched, true);
-        (4, Stats.Pearson.Batch.Scalar, true);
-        (4, Stats.Pearson.Batch.Batched, false);
+        (1, Attack.Distinguisher.Pearson_scalar);
+        (2, Attack.Distinguisher.Pearson_batched);
+        (4, Attack.Distinguisher.Pearson_scalar);
+        (4, Attack.Distinguisher.Pearson_batched);
       ]
   in
   Printf.printf
-    "hqc witness %s; bit-identical across jobs 1/2/4 x backend x prefetch: %b\n%!"
+    "hqc witness %s; bit-identical across jobs 1/2/4 x backend: %b\n%!"
     (String.trim o0.Attack.Target.witness)
     hqc_deterministic;
   List.iter (fun (dir, _) -> rm_store dir) outcomes;
@@ -1341,7 +1352,7 @@ let target_bench () =
     (List.length target_parts)
     jobs;
   let rank parts () =
-    Attack.Dema.Stream.rank ~jobs reader ~parts
+    Attack.Dema.Stream.rank reader ~parts
       ~known:(fun (t : Leakage.trace) -> t)
       ~top:16 (Array.to_seq candidates)
   in
@@ -1486,9 +1497,9 @@ let countermeasures () =
 (* Section V-A + GALACTICS — the profiled template distinguisher.
    Trains a template store on a cloned-device campaign (Target.profile
    streaming over shards, reporting throughput), cracks the victim
-   store end to end under [Profiled] with a jobs x prefetch determinism
-   probe, and compares profiled vs unprofiled MTD on a matched-sigma
-   unprotected victim (Assess.Metrics over the same campaign under both
+   store end to end under [Profiled] with a jobs determinism probe, and
+   compares profiled vs unprofiled MTD on a matched-sigma unprotected
+   victim (Assess.Metrics over the same campaign under both
    backends).  Emits one JSON row (BENCH_profiled.json) which
    check-bench gates on (profiled MTD <= unprofiled MTD, bit-identical
    recoveries across the probe). *)
@@ -1518,22 +1529,20 @@ let profiled () =
   let train_tps = float_of_int count /. train_s in
   Printf.printf "train: %s\n       %d traces in %.2fs (%.0f traces/s)\n%!"
     (Attack.Profile.describe store) count train_s train_tps;
-  let crack (j, pf) =
+  let crack j =
     let reader = Tracestore.Reader.open_store victim in
     F.recover_store
       ~ctx:
         (Attack.Ctx.make ~jobs:j
            ~distinguisher:(Attack.Distinguisher.Profiled store)
-           ~prefetch:pf ())
+           ())
       ~dir:victim reader
   in
-  let o0 = crack (1, false) in
-  let deterministic =
-    List.for_all (fun cfg -> crack cfg = o0) [ (2, false); (2, true) ]
-  in
+  let o0 = crack 1 in
+  let deterministic = List.for_all (fun j -> crack j = o0) [ 2; 4 ] in
   Printf.printf
     "profiled full-key recovery: success %b (%d traces); bit-identical across \
-     jobs x prefetch: %b\n%!"
+     jobs 1/2/4: %b\n%!"
     o0.Attack.Target.success o0.Attack.Target.traces deterministic;
   rm_store clone;
   rm_store victim;

@@ -354,7 +354,7 @@ let check_sequential_bench err j =
    transfer device models and the realignment pass.  The bus-HD full-key
    attack must succeed top-1 on the realigned jittered campaign, the
    unaligned campaign must be measurably degraded (or the jitter did
-   nothing), everything must be bit-identical across jobs/prefetch, and
+   nothing), everything must be bit-identical across jobs, and
    realignment must recover at least 90% of the aligned-store MTD. *)
 let check_leakage_bench err j =
   List.iter
@@ -387,7 +387,7 @@ let check_leakage_bench err j =
       ( "unaligned_degraded",
         "the jittered campaign was not degraded, so realignment proved nothing" );
       ( "deterministic",
-        "realignment stats diverged across jobs/prefetch settings" );
+        "realignment stats diverged across jobs settings" );
     ];
   (match
      Option.bind (Assess.Json.member "realign_recovery" j) Assess.Json.to_number_opt
@@ -413,7 +413,7 @@ let check_leakage_bench err j =
 (* falcon-down/bench-target/v1 (BENCH_target.json): the target-agnostic
    attack framework.  The HQC instance must recover its full secret from
    a sharded store with success rate >= 0.9 and a witness bit-identical
-   across jobs/backends/prefetch; routing the FALCON low-mantissa rank
+   across jobs/backends; routing the FALCON low-mantissa rank
    through Target.parts must stay bit-identical to the hand-built part
    set and keep at least 95% of its throughput. *)
 let check_target_bench err j =
@@ -440,7 +440,7 @@ let check_target_bench err j =
       | None -> err (Printf.sprintf "missing bool field %S" k))
     [
       ( "hqc_deterministic",
-        "the HQC witness diverged across jobs/backends/prefetch" );
+        "the HQC witness diverged across jobs/backends" );
       ( "falcon_identical",
         "the FALCON rank through Target.parts diverged from the hand-built \
          part set" );
@@ -477,8 +477,8 @@ let check_target_bench err j =
 (* falcon-down/bench-profiled/v1 (BENCH_profiled.json): the profiled
    template distinguisher.  On the matched-sigma unprotected victim the
    profiled MTD must be at or below the unprofiled (Pearson) MTD, the
-   profiled rankings must be bit-identical across the jobs x prefetch
-   probe, and the template trainer must report its throughput. *)
+   profiled rankings must be bit-identical across the jobs probe, and
+   the template trainer must report its throughput. *)
 let check_profiled_bench err j =
   List.iter
     (fun k ->
@@ -499,8 +499,8 @@ let check_profiled_bench err j =
   | Some true -> ()
   | Some false ->
       err
-        "deterministic is false — profiled rankings diverged across the jobs x \
-         prefetch probe"
+        "deterministic is false — profiled rankings diverged across the jobs \
+         probe"
   | None -> err "missing bool field \"deterministic\"");
   (match
      ( Option.bind (Assess.Json.member "profiled_mtd" j) Assess.Json.to_int_opt,
@@ -748,7 +748,7 @@ let check_bench_cmd =
           bit-identical within 5%% of its hand-built throughput; \
           BENCH_profiled.json needs profiled MTD at or below the unprofiled MTD \
           on the matched-sigma unprotected victim and rankings bit-identical \
-          across the jobs x prefetch probe; exit 1 otherwise")
+          across the jobs probe; exit 1 otherwise")
     Term.(const cmd_check_bench $ bench_json_arg)
 
 let () =

@@ -147,9 +147,7 @@ let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
       else None
     in
     let o =
-      T.recover_store ~ctx ~leakage ?stop ?max_traces
-        ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-        ~prefetch:flags.Cli_common.Common_flags.prefetch ~dir reader
+      T.recover_store ~ctx ?stop ?max_traces ~dir reader
     in
     (match o.Attack.Target.stop with
     | Some s -> print_stop_summary s
@@ -168,6 +166,7 @@ let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
    `crack --backend profiled --templates PATH`. *)
 let cmd_profile target dir out leakage npoi ndim max_traces flags =
   Cli_common.run flags @@ fun ctx ->
+  let ctx = Attack.Ctx.with_leakage leakage ctx in
   match Attack.Target.find target with
   | None ->
       prerr_endline ("unknown --target " ^ target);
@@ -180,7 +179,7 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
         (Tracestore.Reader.shard_count reader)
         T.name dir;
       let store =
-        Attack.Target.profile ~ctx ~leakage ?npoi ?ndim ?max_traces t ~dir reader
+        Attack.Target.profile ~ctx ?npoi ?ndim ?max_traces t ~dir reader
       in
       Attack.Profile.save out store;
       Printf.printf "wrote %s: %s\n" out (Attack.Profile.describe store);
@@ -188,6 +187,7 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
 
 let cmd_crack target input store leakage until_confident alpha max_traces flags =
   Cli_common.run flags @@ fun ctx ->
+  let ctx = Attack.Ctx.with_leakage leakage ctx in
   (if leakage = `Hd then
      Printf.printf
        "matching bus Hamming-distance hypothesis models (campaign recorded \
@@ -229,10 +229,8 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
             else None
           in
           let res =
-            Attack.Fullkey.recover_key_store ~ctx
-              ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-              ~prefetch:flags.Cli_common.Common_flags.prefetch ~leakage ?stop
-              ?max_traces ~stop_report:print_stop_summary ~reader ~h:pk.h
+            Attack.Fullkey.recover_key_store ~ctx ?stop ?max_traces
+              ~stop_report:print_stop_summary ~reader ~h:pk.h
               (crack_strategy truth_sk)
           in
           crack_report pk truth_kp res
@@ -254,7 +252,7 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
           Printf.printf "loaded %d traces of a FALCON-%d victim\n%!"
             (Array.length traces) pk.params.n;
           let res =
-            Attack.Fullkey.recover_key ~ctx ~leakage ~traces ~h:pk.h
+            Attack.Fullkey.recover_key ~ctx ~traces ~h:pk.h
               (crack_strategy truth_sk)
           in
           crack_report pk truth_kp res

@@ -45,7 +45,6 @@ module Common_flags = struct
     log : log;
     log_level : Obs.level;
     mmap : [ `Auto | `Mmap | `Read ];
-    prefetch : bool;
     on_corrupt : [ `Fail | `Skip ];
   }
 end
@@ -153,16 +152,6 @@ let mmap_arg =
            $(b,off) (always buffered reads).  Both paths run the same CRC-checked \
            decoder and yield byte-identical traces.")
 
-let no_prefetch_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-prefetch" ]
-        ~doc:
-          "Disable background prefetch of the next shard during sequential \
-           streaming passes.  Results are bit-identical either way; this only \
-           serialises I/O with compute.")
-
 let on_corrupt_conv = Arg.enum [ ("fail", `Fail); ("skip", `Skip) ]
 
 let on_corrupt_arg =
@@ -178,7 +167,7 @@ let on_corrupt_arg =
 
 let flags_term =
   Term.(
-    const (fun jobs backend templates log log_level mmap no_prefetch on_corrupt ->
+    const (fun jobs backend templates log log_level mmap on_corrupt ->
         {
           Common_flags.jobs;
           backend;
@@ -186,16 +175,15 @@ let flags_term =
           log;
           log_level;
           mmap;
-          prefetch = not no_prefetch;
           on_corrupt;
         })
     $ jobs_arg $ backend_arg $ templates_arg $ log_arg $ log_level_arg $ mmap_arg
-    $ no_prefetch_arg $ on_corrupt_arg)
+    $ on_corrupt_arg)
 
 (* Open a trace store honouring the shared --mmap / --on-corrupt flags.
    The [policy] on the reader handle matches --on-corrupt so policy-honouring
    iteration (Reader.fold / to_seq) behaves consistently with the streaming
-   attack passes, which additionally take the policy explicitly. *)
+   attack passes, which read it from the context. *)
 let open_store (flags : Common_flags.t) dir =
   Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt
     ~access:flags.Common_flags.mmap dir
@@ -282,7 +270,6 @@ let run (flags : Common_flags.t) f =
     Attack.Ctx.make
       ~distinguisher:(distinguisher_of_flags flags)
       ~obs
-      ~on_corrupt:flags.Common_flags.on_corrupt
-      ~prefetch:flags.Common_flags.prefetch ()
+      ~on_corrupt:flags.Common_flags.on_corrupt ()
   in
   Fun.protect ~finally:finish (fun () -> f ctx)

@@ -206,8 +206,7 @@ let cmd_align src dst max_shift ref_traces flags =
      traces)\n%!"
     src dst max_shift ref_traces;
   let st =
-    Align.realign_store ~ctx ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-      ~prefetch:flags.Cli_common.Common_flags.prefetch
+    Align.realign_store ~ctx
       ~access:flags.Cli_common.Common_flags.mmap ~max_shift
       ~reference_traces:ref_traces ~src ~dst ()
   in
@@ -407,7 +406,7 @@ let align_cmd =
        ~doc:
          "Realign a jittered campaign against its own mean reference window \
           (integer-shift correction) into a fresh store, copying the key \
-          sidecars; deterministic at every -j and prefetch setting")
+          sidecars; deterministic at every -j")
     Term.(
       const cmd_align $ align_src_arg $ align_dst_arg $ max_shift_arg
       $ ref_traces_arg $ flags)
@@ -416,8 +415,7 @@ let import_cmd =
   Cmd.v
     (Cmd.info "import"
        ~doc:
-         "Convert a single-file trace set (including legacy FDTRACE1 files) into a \
-          sharded store")
+         "Convert a single-file trace set into a sharded store")
     Term.(const cmd_import $ in_file_arg $ out_arg $ shard_arg $ noise_arg $ flags)
 
 let () =

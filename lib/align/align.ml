@@ -220,12 +220,12 @@ let anchor_of relative =
 
 let clamp max_shift s = max (-max_shift) (min max_shift s)
 
-let realign_rows ?ctx ?jobs ?(max_shift = 3) ?window ~fill rows =
+let realign_rows ?ctx ?(max_shift = 3) ?window ~fill rows =
   if max_shift < 0 then invalid_arg "Align.realign_rows: max_shift < 0";
   let d = Array.length rows in
   if d = 0 then (rows, zero_stats)
   else begin
-    let c = Attack.Ctx.resolve ?ctx ?jobs () in
+    let c = Attack.Ctx.or_default ctx in
     let obs = c.Attack.Ctx.obs in
     Obs.span obs "align.realign" ~fields:[ ("traces", Obs.Int d) ]
     @@ fun () ->
@@ -250,14 +250,14 @@ let realign_rows ?ctx ?jobs ?(max_shift = 3) ?window ~fill rows =
     (out, st)
   end
 
-let realign_matched ?ctx ?jobs ?(max_shift = 3) ~fill ~templates rows =
+let realign_matched ?ctx ?(max_shift = 3) ~fill ~templates rows =
   if max_shift < 0 then invalid_arg "Align.realign_matched: max_shift < 0";
   let d = Array.length rows in
   if d <> Array.length templates then
     invalid_arg "Align.realign_matched: one template per row required";
   if d = 0 then (rows, zero_stats)
   else begin
-    let c = Attack.Ctx.resolve ?ctx ?jobs () in
+    let c = Attack.Ctx.or_default ctx in
     let obs = c.Attack.Ctx.obs in
     Obs.span obs "align.realign_matched" ~fields:[ ("traces", Obs.Int d) ]
     @@ fun () ->
@@ -305,15 +305,17 @@ let bootstrap_rows ~reference_traces reader =
    with Exit -> ());
   if !d = 0 then None else Some (Array.of_list (List.rev !rows))
 
-let realign_store ?ctx ?jobs ?on_corrupt ?prefetch ?access ?(max_shift = 3)
-    ?window ?(reference_traces = 64) ~src ~dst () =
+let realign_store ?ctx ?access ?(max_shift = 3) ?window ?(reference_traces = 64) ~src
+    ~dst () =
   if max_shift < 0 then invalid_arg "Align.realign_store: max_shift < 0";
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
+  let c = Attack.Ctx.or_default ctx in
   let obs = c.Attack.Ctx.obs in
   Obs.span obs "align.realign_store"
     ~fields:[ ("src", Obs.Str src); ("dst", Obs.Str dst) ]
   @@ fun () ->
-  let reader = Tracestore.Reader.open_store ?policy:on_corrupt ?access src in
+  let reader =
+    Tracestore.Reader.open_store ~policy:c.Attack.Ctx.on_corrupt ?access src
+  in
   let meta = Tracestore.Reader.meta reader in
   let width = meta.Tracestore.width in
   let fill = meta.Tracestore.model.Tracestore.baseline in
@@ -337,7 +339,7 @@ let realign_store ?ctx ?jobs ?on_corrupt ?prefetch ?access ?(max_shift = 3)
          shift (a handful of bytes per trace — the out-of-core property
          survives), then anchor. *)
       let relative =
-        let feed = Attack.Dema.Stream.shard_feed ~obs ?on_corrupt ?prefetch reader in
+        let feed = Attack.Dema.Stream.shard_feed ~ctx:c reader in
         Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
         let acc = ref [] in
         let rec loop () =
@@ -366,7 +368,7 @@ let realign_store ?ctx ?jobs ?on_corrupt ?prefetch ?access ?(max_shift = 3)
            corrected campaign.  The two passes see the same surviving
            shards — the store is immutable — so index i in [shifts]
            is trace i of this pass too. *)
-        let feed = Attack.Dema.Stream.shard_feed ~obs ?on_corrupt ?prefetch reader in
+        let feed = Attack.Dema.Stream.shard_feed ~ctx:c reader in
         Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
         let i = ref 0 in
         let rec loop () =

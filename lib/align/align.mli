@@ -24,8 +24,8 @@
     static alignment.
 
     Everything here is deterministic: no RNG, pure per-trace shift
-    estimation, so results are bit-identical at every [jobs], backend,
-    and prefetch setting.  Realigning an already-aligned campaign is a
+    estimation, so results are bit-identical at every [jobs] and
+    backend.  Realigning an already-aligned campaign is a
     no-op (every estimated shift is 0 and the input rows are returned
     physically unchanged). *)
 
@@ -86,7 +86,6 @@ val shift_samples : fill:float -> shift:int -> float array -> float array
 
 val realign_rows :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?max_shift:int ->
   ?window:int * int ->
   fill:float ->
@@ -102,7 +101,6 @@ val realign_rows :
 
 val realign_matched :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?max_shift:int ->
   fill:float ->
   templates:(int * float) array array ->
@@ -119,9 +117,6 @@ val realign_matched :
 
 val realign_store :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
-  ?on_corrupt:[ `Fail | `Skip ] ->
-  ?prefetch:bool ->
   ?access:[ `Auto | `Mmap | `Read ] ->
   ?max_shift:int ->
   ?window:int * int ->
@@ -134,8 +129,8 @@ val realign_store :
     bootstrap reference is built in memory from the first
     [?reference_traces] (default 64) stored traces; the store then
     streams twice through {!Attack.Dema.Stream.shard_feed} (honouring
-    [?on_corrupt] / [?prefetch] / [?access] exactly as the analysis
-    readers do) — once to estimate every relative shift (a few bytes
+    [ctx.on_corrupt] and [?access] exactly as the analysis readers
+    do) — once to estimate every relative shift (a few bytes
     per trace held in memory, so the out-of-core property survives)
     and, after anchoring, once to write the corrected campaign to a
     fresh store at [dst] with the same metadata, the store's recorded
@@ -144,6 +139,6 @@ val realign_store :
     remains attackable in place of the original.  An empty source
     store yields an empty destination store and {!zero_stats}.
     Deterministic: the destination bytes are a pure function of the
-    source store (plus shard boundaries), independent of [jobs] and
-    [prefetch].  Instrumented as an ["align.realign_store"] span with
-    the same counters as {!realign_rows}. *)
+    source store (plus shard boundaries), independent of [jobs].
+    Instrumented as an ["align.realign_store"] span with the same
+    counters as {!realign_rows}. *)

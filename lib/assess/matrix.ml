@@ -182,11 +182,11 @@ let hqc_profiled_ctx ~ctx ~sigma ~budget ~seed =
   let store = Attack.Profile.train spec ~targets feed in
   Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) ctx
 
-let run ?ctx ?jobs ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
+let run ?ctx ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
     ?(conditions = [ Campaign.baseline_condition ])
     ?(distinguishers = [ "pearson" ]) ?(progress = fun _ -> ())
     ~sigmas ~budgets ~experiments ~decoys ~seed () =
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
+  let c = Attack.Ctx.or_default ctx in
   let obs = c.Attack.Ctx.obs in
   if targets = [] then invalid_arg "Assess.Matrix: empty target axis";
   List.iter
@@ -348,8 +348,8 @@ let run ?ctx ?jobs ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
   { seed; experiments; decoys; targets; defenses; sigmas; budgets; conditions;
     distinguishers; cells }
 
-let tiny ?ctx ?jobs ?targets ?conditions ?distinguishers ?progress ~seed () =
-  run ?ctx ?jobs ?targets ?conditions ?distinguishers ?progress
+let tiny ?ctx ?targets ?conditions ?distinguishers ?progress ~seed () =
+  run ?ctx ?targets ?conditions ?distinguishers ?progress
     ~sigmas:[ 0.5 ] ~budgets:[ 200 ] ~experiments:2 ~decoys:24 ~seed ()
 
 (* {2 Serialisation} *)

@@ -74,7 +74,6 @@ val derived_seed : int -> int
 
 val profile_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?condition:Campaign.condition ->
   defense:Campaign.defense ->
   truth:Fpr.t ->
@@ -94,7 +93,6 @@ val profile_entries :
 
 val of_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?stop_alpha:float ->
   ?condition:Campaign.condition ->
   defense:Campaign.defense ->
@@ -123,7 +121,6 @@ val of_entries :
 
 val run :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?stop_alpha:float ->
   ?condition:Campaign.condition ->
   config ->
@@ -135,7 +132,7 @@ val run :
 type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
 val run_hqc :
-  ?ctx:Attack.Ctx.t -> ?jobs:int -> ?stop_alpha:float -> hqc_config -> outcome
+  ?ctx:Attack.Ctx.t -> ?stop_alpha:float -> hqc_config -> outcome
 (** The same SR/GE/MTD vocabulary over the HQC rotate-and-accumulate
     victim ({!Attack.Target.Hqc}).  Each experiment draws a fresh sparse
     secret and [budget] simulated traces, then runs the chained per-unit
@@ -149,7 +146,6 @@ val run_hqc :
 
 val of_store :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?stop_alpha:float ->
   ?seed:int ->
   experiments:int ->

@@ -38,6 +38,11 @@ module Topk = struct
     List.iter (add into) t.worst_first;
     into
 
+  let of_scores top guesses scores =
+    let t = create top in
+    Array.iteri (fun i g -> add t { guess = g; corr = scores.(i) }) guesses;
+    t
+
   let to_list t = List.rev t.worst_first
 end
 
@@ -48,73 +53,174 @@ end
    2^25-candidate enumerations of Section III-C. *)
 let sweep_chunk = 512
 
-let rank_scores ?ctx ?jobs ~score ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  Topk.to_list
-    (Parallel.map_reduce_chunks ~jobs:c.Ctx.jobs ~chunk:sweep_chunk
-       ~map:(fun guesses ->
-         let t = Topk.create top in
-         Array.iter (fun g -> Topk.add t { guess = g; corr = score g }) guesses;
-         t)
-       ~reduce:Topk.merge ~init:(Topk.create top) candidates)
-
-let rank_block_scores ?ctx ?jobs ~score_block ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  Topk.to_list
-    (Parallel.map_reduce_chunks ~jobs:c.Ctx.jobs ~chunk:sweep_chunk
-       ~map:(fun guesses ->
-         let scores = score_block guesses in
-         let t = Topk.create top in
-         Array.iteri (fun i g -> Topk.add t { guess = g; corr = scores.(i) }) guesses;
-         t)
-       ~reduce:Topk.merge ~init:(Topk.create top) candidates)
-
 let hyp_vector ~model ~known guess =
   Array.map (fun y -> float_of_int (Bitops.popcount (model guess y))) known
 
-let backend_name = Distinguisher.name
+(* Zero folded traces leave every statistic 0/0: fail instead of
+   returning a NaN-scored ranking. *)
+let check_traces ~what n =
+  if n = 0 then failwith (what ^ ": no traces to score (empty campaign)")
 
-(* The sequential gap testers are correlation statistics (Fisher-z on
-   |r|); a profiled selection has no incremental form of them. *)
-let pearson_kernel_exn ~what = function
-  | Distinguisher.Pearson_scalar -> Stats.Pearson.Batch.Scalar
-  | Distinguisher.Pearson_batched -> Stats.Pearson.Batch.Batched
-  | Distinguisher.Profiled _ ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: the profiled distinguisher has no sequential gap tester; use a \
-            Pearson backend"
-           what)
+(* ---- one implementation per distinguisher ----
 
-(* Shared profiled scoring: per (part, trace) the class-conditional
-   log-likelihood table is candidate-independent, so it is computed once
-   and every guess just sums its predicted class's entry — the template
-   analogue of hoisting column statistics out of the Pearson sweep.  The
-   mean (not sum) over traces keeps scores comparable across budgets,
-   like a correlation. *)
-let profiled_rank_scores ~ctx ~nclass ~tables ~known ~d ~top ~tick candidates =
-  let nrm = 1. /. float_of_int (max 1 d) in
-  let score guess =
-    tick 1;
-    let acc = ref 0. in
-    List.iter
-      (fun (model, tbl) ->
-        for i = 0 to d - 1 do
-          let cls = Bitops.popcount (model guess (Array.unsafe_get known i)) in
-          let cls = if cls >= nclass then nclass - 1 else cls in
-          acc := !acc +. Array.unsafe_get (Array.unsafe_get tbl i) cls
-        done)
-      tables;
-    !acc *. nrm
-  in
-  rank_scores ~ctx ~score ~top candidates
+   A distinguisher bound to one sweep's part set splits its work three
+   ways, and every ranking entry point drives exactly these functions:
+
+   - [segment] runs on the owning domain, once per batch of traces and
+     in global trace order: it validates the batch (per part, one column
+     per entry of [needs] plus the known operands, all of one length),
+     advances the sweep's candidate-independent running totals (trace
+     count, Pearson column moments) and returns the batch's
+     candidate-independent work (split-model prep tables, profiled
+     class-score tables), which every candidate chunk then reads.
+   - [acc] / [fold] hold and advance the accumulators of one candidate
+     chunk; a chunk's state is touched by one domain at a time, so
+     chunks fold in parallel.
+   - [scores] finalises a chunk against the running totals, purely.
+
+   Every accumulator receives its additions in global trace order, so
+   scores are bit-identical at every [jobs], every candidate chunking
+   and every split of the traces into segments (in-memory vs per-shard
+   streaming). *)
+module type BOUND = sig
+  type k
+  type seg
+  type acc
+
+  val needs : int list list
+  val traces : unit -> int
+  val segment : (float array array * k array) array -> seg
+  val acc : int array -> acc
+  val fold : acc -> seg -> unit
+  val scores : acc -> float array
+end
+
+type 'k bound = (module BOUND with type k = 'k)
+
+let needs_of (type a) ((module B) : a bound) = B.needs
+
+let batch_len ~widths batch =
+  if Array.length batch <> Array.length widths then
+    invalid_arg "Dema: wrong number of part segments";
+  let len = match batch with [||] -> 0 | _ -> Array.length (snd batch.(0)) in
+  Array.iteri
+    (fun j (cols, ks) ->
+      if Array.length cols <> widths.(j) then
+        invalid_arg "Dema: a part segment does not carry the columns its part needs";
+      if Array.length ks <> len || Array.exists (fun c -> Array.length c <> len) cols
+      then invalid_arg "Dema: ragged part segments")
+    batch;
+  len
+
+(* Whole-sweep column moments of the Pearson parts: a running sum and
+   sum of squares per part, advanced segment by segment — the very
+   additions [Stats.Pearson.column_stats] makes on the concatenated
+   column. *)
+type moments = { mutable n : int; sums : float array; sqs : float array }
+
+let moments nparts = { n = 0; sums = Array.make nparts 0.; sqs = Array.make nparts 0. }
+
+(* Validate a Pearson batch (one column per part) and fold its columns
+   into the moments; returns the per-part (column, known) segments. *)
+let moments_segment m batch =
+  let nparts = Array.length m.sums in
+  let len = batch_len ~widths:(Array.make nparts 1) batch in
+  let segs = Array.map (fun (cols, ks) -> (cols.(0), ks)) batch in
+  Array.iteri
+    (fun j (col, _) ->
+      let s = ref m.sums.(j) and ss = ref m.sqs.(j) in
+      for i = 0 to len - 1 do
+        let v = Array.unsafe_get col i in
+        s := !s +. v;
+        ss := !ss +. (v *. v)
+      done;
+      m.sums.(j) <- !s;
+      m.sqs.(j) <- !ss)
+    segs;
+  m.n <- m.n + len;
+  (segs, len)
+
+(* (sum, n * variance) of part [j]'s column: [column_stats]'s epilogue *)
+let moments_stats m j =
+  let nf = float_of_int m.n in
+  (m.sums.(j), m.sqs.(j) -. (m.sums.(j) *. m.sums.(j) /. nf))
+
+let pearson_needs parts = List.map (fun (s, _) -> [ s ]) parts
+
+(* Scalar Pearson (Eq. 1), the reference the batched kernel is pinned
+   against: per (part, guess) the guess's modelled leakage over the
+   segment ([hyp_vector]) feeds running hypothesis moments, finalised
+   with [Stats.Pearson.corr_with]'s epilogue; a guess scores the sum
+   over parts of |r|, in part order. *)
+let pearson_scalar (type a) (parts : (int * a Hypothesis.Model.t) list) : a bound =
+  (module struct
+    type k = a
+    type seg = (float array * a array) array * int
+    type acc = {
+      guesses : int array;
+      sh : float array array;  (* per part x guess: sum of hypotheses *)
+      shh : float array array;  (* ... of their squares *)
+      sht : float array array;  (* ... of hypothesis x sample *)
+    }
+
+    let models = Array.of_list (List.map (fun (_, m) -> Hypothesis.Model.apply m) parts)
+    let nparts = Array.length models
+    let needs = pearson_needs parts
+    let mom = moments nparts
+    let traces () = mom.n
+    let segment batch = moments_segment mom batch
+
+    let acc guesses =
+      let g = Array.length guesses in
+      let zeros () = Array.init nparts (fun _ -> Array.make g 0.) in
+      { guesses; sh = zeros (); shh = zeros (); sht = zeros () }
+
+    let fold a (segs, len) =
+      Array.iteri
+        (fun j (col, ks) ->
+          let model = models.(j) in
+          let sh = a.sh.(j) and shh = a.shh.(j) and sht = a.sht.(j) in
+          Array.iteri
+            (fun r guess ->
+              let h = hyp_vector ~model ~known:ks guess in
+              let s = ref (Array.unsafe_get sh r)
+              and ss = ref (Array.unsafe_get shh r)
+              and st = ref (Array.unsafe_get sht r) in
+              for i = 0 to len - 1 do
+                let x = Array.unsafe_get h i in
+                s := !s +. x;
+                ss := !ss +. (x *. x);
+                st := !st +. (x *. Array.unsafe_get col i)
+              done;
+              Array.unsafe_set sh r !s;
+              Array.unsafe_set shh r !ss;
+              Array.unsafe_set sht r !st)
+            a.guesses)
+        segs
+
+    let scores a =
+      let nf = float_of_int mom.n in
+      let out = Array.make (Array.length a.guesses) 0. in
+      for j = 0 to nparts - 1 do
+        let sum_t, var_t = moments_stats mom j in
+        let sh = a.sh.(j) and shh = a.shh.(j) and sht = a.sht.(j) in
+        Array.iteri
+          (fun r s ->
+            let vh = shh.(r) -. (s *. s /. nf) in
+            let cov = sht.(r) -. (s *. sum_t /. nf) in
+            let rr = if vh <= 0. || var_t <= 0. then 0. else cov /. sqrt (vh *. var_t) in
+            out.(r) <- out.(r) +. Float.abs rr)
+          sh
+      done;
+      out
+  end)
 
 (* Resolved hypothesis source over one segment of known operands: a
    split model becomes a precomputed per-trace table plus its integer
-   evaluator (built once per sweep, on the owning domain, shared
+   evaluator (built once per segment, on the owning domain, shared
    read-only); a plain model becomes a closure over the segment.  Both
-   feed {!Stats.Pearson.Batch.Fused} with exactly [hyp_vector]'s
-   intermediates, so the choice never changes a result. *)
+   yield exactly [hyp_vector]'s intermediates, so the choice never
+   changes a result. *)
 type seg_src =
   | Tab of int array * (int -> int -> int)
   | App of (int -> int -> int)  (* guess -> segment-local trace -> intermediate *)
@@ -124,237 +230,381 @@ let seg_src model known =
   | Hypothesis.Model.Split (prep, eval) -> Tab (Array.map prep known, eval)
   | Hypothesis.Model.Fn f -> App (fun g i -> f g (Array.unsafe_get known i))
 
-let seg_fold acc src ~cols ~len guesses =
-  match src with
-  | Tab (prepped, eval) ->
-      Stats.Pearson.Batch.Fused.fold_split acc ~eval ~guesses ~prepped ~cols ~len
-  | App f ->
-      Stats.Pearson.Batch.Fused.fold acc
-        ~gen:(fun r i -> f (Array.unsafe_get guesses r) i)
-        ~cols ~len
-
-(* Consecutive parts sharing one model value (physical equality) score
-   several columns from a single generated hypothesis stream — the
-   hoisted refill.  Grouping preserves part order, so the per-guess
-   score accumulation stays the scalar fold's addition sequence. *)
-let group_parts parts =
-  let rec go = function
-    | [] -> []
-    | (s, m) :: rest ->
-        let rec take acc = function
-          | (s', m') :: tl when m' == m -> take (s' :: acc) tl
-          | tl -> (List.rev acc, tl)
-        in
-        let same, tl = take [ s ] rest in
-        (m, Array.of_list same) :: go tl
+(* Consecutive parts sharing one model value (physical equality) over
+   shared known operands form one group, scored from a single generated
+   hypothesis stream — the hoisted refill.  Grouping preserves part
+   order, so the per-guess score accumulation stays the scalar fold's
+   addition sequence. *)
+let group_parts ~shared models =
+  let rec go j acc =
+    if j >= Array.length models then List.rev acc
+    else
+      let e = ref (j + 1) in
+      while shared && !e < Array.length models && models.(!e) == models.(j) do
+        incr e
+      done;
+      go !e (Array.init (!e - j) (fun i -> j + i) :: acc)
   in
-  go parts
+  Array.of_list (go 0 [])
 
-(* ---- incremental hypothesis sweep for sequential campaigns ----
+(* Fused batched Pearson: no hypothesis block is ever materialised —
+   {!Stats.Pearson.Batch.Fused} generates intermediates inside register
+   tiles, one accumulator per part group per chunk, split models
+   reading the segment's prep table.  Same additions into the same
+   per-guess accumulators as the scalar kernel, same epilogue
+   ([Fused.corr]): bit-identical scores.  [shared] says every part is
+   fed the same known operands, which is what makes grouping valid. *)
+let pearson_fused (type a) ~shared (parts : (int * a Hypothesis.Model.t) list) : a bound =
+  (module struct
+    type k = a
+    type seg = (seg_src * float array array) array * int
+    type acc = { guesses : int array; accs : Stats.Pearson.Batch.Fused.t array }
 
-   The fixed-budget sweeps above see the whole campaign at once.  The
-   adaptive engine instead feeds the same additions in batches and
-   finalises correlations at every decision look, which the fused
-   accumulators support directly: they persist across folds and
-   [Fused.corr] reads them without resetting.  A sweep that is fed the
-   campaign to exhaustion therefore scores bit-identically to
-   [Stream.rank] / [rank], and at every intermediate look the Scalar and
-   Batched backends agree bitwise (same additions, same epilogue) — the
-   substrate for stop decisions that are reproducible across [jobs] and
-   backends. *)
-module Sweep = struct
+    let models = Array.of_list (List.map snd parts)
+    let groups = group_parts ~shared models
+    let needs = pearson_needs parts
+    let mom = moments (Array.length models)
+    let traces () = mom.n
+
+    let segment batch =
+      let segs, len = moments_segment mom batch in
+      ( Array.map
+          (fun js ->
+            ( seg_src models.(js.(0)) (snd segs.(js.(0))),
+              Array.map (fun j -> fst segs.(j)) js ))
+          groups,
+        len )
+
+    let acc guesses =
+      let rows = Array.length guesses in
+      {
+        guesses;
+        accs =
+          Array.map
+            (fun js -> Stats.Pearson.Batch.Fused.create ~rows ~ncols:(Array.length js))
+            groups;
+      }
+
+    let fold a (gsegs, len) =
+      Array.iteri
+        (fun gi (src, cols) ->
+          let acc = a.accs.(gi) in
+          match src with
+          | Tab (prepped, eval) ->
+              Stats.Pearson.Batch.Fused.fold_split acc ~eval ~guesses:a.guesses ~prepped
+                ~cols ~len
+          | App f ->
+              Stats.Pearson.Batch.Fused.fold acc
+                ~gen:(fun r i -> f (Array.unsafe_get a.guesses r) i)
+                ~cols ~len)
+        gsegs
+
+    let scores a =
+      let out = Array.make (Array.length a.guesses) 0. in
+      Array.iteri
+        (fun gi js ->
+          Array.iteri
+            (fun ci j ->
+              let sum_t, var_t = moments_stats mom j in
+              let rs =
+                Stats.Pearson.Batch.Fused.corr a.accs.(gi) ~index:ci ~n:mom.n ~sum_t
+                  ~var_t
+              in
+              Array.iteri (fun r v -> out.(r) <- out.(r) +. Float.abs v) rs)
+            js)
+        groups;
+      out
+  end)
+
+(* Profiled template scoring: per (part, trace) the class-conditional
+   log-likelihood table is candidate-independent, so it is computed once
+   per segment from the template's points of interest and every guess
+   just sums its predicted class's entry.  One accumulator per (part,
+   guess) keeps every sum in global trace order however the traces are
+   split; the score is the sum over parts, divided by the trace count
+   (a mean, so scores stay comparable across budgets like a
+   correlation). *)
+let profiled (type a) (store : Profile.store)
+    (parts : (int * a Hypothesis.Model.t) list) : a bound =
+  (module struct
+    type k = a
+    type seg = (float array array * a array) array * int
+    type acc = { guesses : int array; sll : float array array }
+
+    let pts =
+      Array.of_list
+        (List.map
+           (fun (s, m) -> (Profile.point store ~sample:s, Hypothesis.Model.apply m))
+           parts)
+
+    let needs =
+      Array.to_list (Array.map (fun (pt, _) -> Array.to_list pt.Profile.abs_pois) pts)
+
+    let widths = Array.map (fun (pt, _) -> Array.length pt.Profile.abs_pois) pts
+    let n = ref 0
+    let traces () = !n
+
+    let segment batch =
+      let len = batch_len ~widths batch in
+      n := !n + len;
+      ( Array.mapi
+          (fun j (cols, ks) ->
+            let tpl = (fst pts.(j)).Profile.tpl in
+            ( Array.init len (fun i ->
+                  Profile.class_scores_vec store tpl (Array.map (fun c -> c.(i)) cols)),
+              ks ))
+          batch,
+        len )
+
+    let acc guesses =
+      { guesses; sll = Array.map (fun _ -> Array.make (Array.length guesses) 0.) pts }
+
+    let fold a (tabs, len) =
+      let nclass = store.Profile.nclass in
+      Array.iteri
+        (fun j (tbl, ks) ->
+          let model = snd pts.(j) and sll = a.sll.(j) in
+          Array.iteri
+            (fun r guess ->
+              let s = ref sll.(r) in
+              for i = 0 to len - 1 do
+                let cls = Bitops.popcount (model guess (Array.unsafe_get ks i)) in
+                let cls = if cls >= nclass then nclass - 1 else cls in
+                s := !s +. Array.unsafe_get (Array.unsafe_get tbl i) cls
+              done;
+              sll.(r) <- !s)
+            a.guesses)
+        tabs
+
+    let scores a =
+      let nrm = 1. /. float_of_int (max 1 !n) in
+      Array.mapi
+        (fun r _ ->
+          let s = ref 0. in
+          Array.iter (fun acc -> s := !s +. acc.(r)) a.sll;
+          !s *. nrm)
+        a.guesses
+  end)
+
+(* The calibrated absolute-level distinguisher: a guess scores the
+   negative mean squared residual between the samples and
+   [baseline + alpha * HW(model guess y)], one running error per guess
+   over (part, trace) in order.  Its entry point feeds one segment. *)
+let absolute (type a) ~alpha ~baseline (parts : (int * a Hypothesis.Model.t) list) :
+    a bound =
+  (module struct
+    type k = a
+    type seg = (float array * seg_src) array * int
+    type acc = { guesses : int array; err : float array }
+
+    let models = Array.of_list (List.map snd parts)
+    let needs = pearson_needs parts
+    let n = ref 0
+    let traces () = !n
+
+    let segment batch =
+      let len = batch_len ~widths:(Array.make (Array.length models) 1) batch in
+      n := !n + len;
+      (Array.mapi (fun j (cols, ks) -> (cols.(0), seg_src models.(j) ks)) batch, len)
+
+    let acc guesses = { guesses; err = Array.make (Array.length guesses) 0. }
+
+    let fold a (segs, len) =
+      Array.iter
+        (fun (col, src) ->
+          let gen =
+            match src with
+            | Tab (prepped, eval) -> fun g i -> eval g (Array.unsafe_get prepped i)
+            | App f -> f
+          in
+          Array.iteri
+            (fun r g ->
+              let e = ref (Array.unsafe_get a.err r) in
+              for i = 0 to len - 1 do
+                let pred =
+                  baseline +. (alpha *. float_of_int (Bitops.popcount (gen g i)))
+                in
+                let rr = Array.unsafe_get col i -. pred in
+                e := !e +. (rr *. rr)
+              done;
+              Array.unsafe_set a.err r !e)
+            a.guesses)
+        segs
+
+    let scores a =
+      let nf = float_of_int !n in
+      Array.map (fun e -> -.e /. nf) a.err
+  end)
+
+let bind (type a) ~shared sel (parts : (int * a Hypothesis.Model.t) list) : a bound =
+  match sel with
+  | Distinguisher.Pearson_scalar -> pearson_scalar parts
+  | Distinguisher.Pearson_batched -> pearson_fused ~shared parts
+  | Distinguisher.Profiled store -> profiled store parts
+
+(* One batch from row accessors: per part, its needed columns (trace
+   [i], absolute sample [s] read through [get i s]) and the known
+   operands [ks], shared by every part. *)
+let batch_of needs ~len ~get ks =
+  Array.of_list
+    (List.map
+       (fun cols ->
+         (Array.of_list (List.map (fun s -> Array.init len (fun i -> get i s)) cols), ks))
+       needs)
+
+(* ---- the chunked top-k driver ----
+
+   Over a whole candidate sequence: the batches are prepared once
+   (["dema.prep"]), then every candidate chunk gets fresh accumulators,
+   folds every prepared segment and streams its scores into a per-domain
+   top-k (["dema.score"]) — O(top) memory per domain, partial top-ks
+   merged in chunk order.  Guesses are counted in a private Atomic and
+   emitted once, after the join, from the owning domain (the Obs
+   determinism contract).  Returns the ranking and the guess count. *)
+let drive (type a) ~ctx ~what ((module B) : a bound) ~top batches candidates =
+  let obs = ctx.Ctx.obs in
+  let segs =
+    Obs.span ~level:Obs.Debug obs "dema.prep" (fun () -> List.map B.segment batches)
+  in
+  let d = B.traces () in
+  check_traces ~what d;
+  let scored = Atomic.make 0 in
+  let result =
+    Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
+        Topk.to_list
+          (Parallel.map_reduce_chunks ~jobs:ctx.Ctx.jobs ~chunk:sweep_chunk
+             ~map:(fun guesses ->
+               ignore (Atomic.fetch_and_add scored (Array.length guesses));
+               let a = B.acc guesses in
+               List.iter (B.fold a) segs;
+               Topk.of_scores top guesses (B.scores a))
+             ~reduce:Topk.merge ~init:(Topk.create top) candidates))
+  in
+  let n = Atomic.get scored in
+  Obs.count obs "dema.guesses" n;
+  (* fewer traces than candidates: the top of the ranking is dominated
+     by chance correlations, not evidence *)
+  if d < n then
+    Obs.count ~level:Obs.Error
+      ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
+      obs "dema.degenerate_rank" 1;
+  (result, n)
+
+(* The same driver with persistent accumulators: a fixed candidate array
+   split into [sweep_chunk] chunks, one accumulator per chunk kept
+   across folds.  A fold prepares its batch once on the owner and folds
+   every chunk (chunks touch disjoint state, so any [jobs] gives the
+   same state); [scores] finalises every chunk at any look without a
+   reset. *)
+module Chunked = struct
   type 'k t = {
-    backend : Stats.Pearson.Batch.backend;
-    candidates : int array;
-    models : 'k Hypothesis.Model.t array;
-    appls : (int -> 'k -> int) array;
-    nparts : int;
-    mutable n : int;
-    sums : float array;  (* per part: running column sum *)
-    sqs : float array;  (* per part: running column sum of squares *)
-    chunks : (int * int) array;  (* (offset, len) per candidate chunk *)
-    cand_chunks : int array array;
-    (* scalar arm: per part x candidate running hypothesis moments *)
-    sh : float array array;
-    shh : float array array;
-    sht : float array array;
-    (* batched arm: one persistent fused accumulator per (chunk, part) *)
-    accs : Stats.Pearson.Batch.Fused.t array array;
+    needs : int list list;
+    traces : unit -> int;
+    fold : jobs:int -> (float array array * 'k array) array -> unit;
+    scores : jobs:int -> float array;
   }
 
-  let create ~backend ~parts candidates =
-    let g = Array.length candidates in
-    if g < 2 then invalid_arg "Dema.Sweep.create: need at least two candidates";
-    let models = Array.of_list parts in
-    let nparts = Array.length models in
-    if nparts = 0 then invalid_arg "Dema.Sweep.create: no parts";
-    let nchunks = (g + sweep_chunk - 1) / sweep_chunk in
-    let chunks =
-      Array.init nchunks (fun c ->
+  let create (type a) ((module B) : a bound) guesses : a t =
+    let g = Array.length guesses in
+    let accs =
+      Array.init ((g + sweep_chunk - 1) / sweep_chunk) (fun c ->
           let off = c * sweep_chunk in
-          (off, min sweep_chunk (g - off)))
+          B.acc (Array.sub guesses off (min sweep_chunk (g - off))))
     in
-    let scalar = backend = Stats.Pearson.Batch.Scalar in
+    let over ~jobs f =
+      Parallel.map_array ~jobs:(max 1 (min jobs (Array.length accs))) f accs
+    in
     {
-      backend;
-      candidates;
-      models;
-      appls = Array.map Hypothesis.Model.apply models;
-      nparts;
-      n = 0;
-      sums = Array.make nparts 0.;
-      sqs = Array.make nparts 0.;
-      chunks;
-      cand_chunks =
-        Array.map (fun (off, len) -> Array.sub candidates off len) chunks;
-      sh = (if scalar then Array.init nparts (fun _ -> Array.make g 0.) else [||]);
-      shh = (if scalar then Array.init nparts (fun _ -> Array.make g 0.) else [||]);
-      sht = (if scalar then Array.init nparts (fun _ -> Array.make g 0.) else [||]);
-      accs =
-        (if scalar then [||]
-         else
-           Array.map
-             (fun (_, len) ->
-               Array.init nparts (fun _ ->
-                   Stats.Pearson.Batch.Fused.create ~rows:len ~ncols:1))
-             chunks);
+      needs = B.needs;
+      traces = B.traces;
+      fold =
+        (fun ~jobs batch ->
+          let seg = B.segment batch in
+          ignore (over ~jobs (fun a -> B.fold a seg)));
+      scores =
+        (fun ~jobs ->
+          check_traces ~what:"Dema" (B.traces ());
+          Array.concat (Array.to_list (over ~jobs B.scores)));
     }
+end
 
-  let n t = t.n
+let rank ?ctx ~traces ~parts ~known ~top candidates =
+  let c = Ctx.or_default ctx in
+  let obs = c.Ctx.obs in
+  let d = Array.length traces in
+  let nparts = List.length parts in
+  let run () =
+    let b = bind ~shared:true c.Ctx.backend parts in
+    let batch = batch_of (needs_of b) ~len:d ~get:(fun i s -> traces.(i).(s)) known in
+    let result, n = drive ~ctx:c ~what:"Dema.rank" b ~top [ batch ] candidates in
+    (* one correlation = ~6 flops/trace (centre, multiply-accumulate,
+       normalise amortised); a per-sweep order-of-magnitude estimate *)
+    Obs.gauge obs "dema.flops_est"
+      (float_of_int n *. float_of_int nparts *. 6. *. float_of_int d);
+    result
+  in
+  if Obs.enabled obs then
+    Obs.span obs "dema.rank"
+      ~fields:
+        [
+          ("traces", Obs.Int d);
+          ("parts", Obs.Int nparts);
+          ("top", Obs.Int top);
+          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
+          ("jobs", Obs.Int c.Ctx.jobs);
+        ]
+      run
+  else run ()
 
-  (* One batch: per part, its column segment plus the known operands the
-     part's model digests (parts may live on different views, hence the
-     per-part known array).  Additions land per (part, candidate)
-     accumulator in global trace order — chunk parallelism touches
-     disjoint candidate ranges, so every [jobs] produces the same
-     state. *)
+let rank_absolute ?ctx ~traces ~parts ~known ~top ~alpha ~baseline candidates =
+  let c = Ctx.or_default ctx in
+  let d = Array.length traces in
+  Obs.span c.Ctx.obs "dema.rank_absolute"
+    ~fields:
+      [
+        ("traces", Obs.Int d);
+        ("top", Obs.Int top);
+        ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
+      ]
+    (fun () ->
+      let b = absolute ~alpha ~baseline parts in
+      let batch = batch_of (needs_of b) ~len:d ~get:(fun i s -> traces.(i).(s)) known in
+      fst (drive ~ctx:c ~what:"Dema.rank_absolute" b ~top [ batch ] candidates))
+
+(* ---- sequential early-stopping rank ---- *)
+
+(* Incremental Pearson sweep over a fixed candidate array: the persistent
+   driver, plus the ranking and leader reads the decision testers use. *)
+module Sweep = struct
+  type 'k t = { candidates : int array; nparts : int; st : 'k Chunked.t }
+
+  let make b ~nparts candidates =
+    if Array.length candidates < 2 then
+      invalid_arg "Dema.Sweep.create: need at least two candidates";
+    if nparts = 0 then invalid_arg "Dema.Sweep.create: no parts";
+    { candidates; nparts; st = Chunked.create b candidates }
+
+  (* parts may live on different views, so they are never grouped; the
+     sample index of a part is its position (columns arrive per part) *)
+  let create ~backend ~parts candidates =
+    let parts = List.mapi (fun j m -> (j, m)) parts in
+    let b =
+      match backend with
+      | Stats.Pearson.Batch.Scalar -> pearson_scalar parts
+      | Stats.Pearson.Batch.Batched -> pearson_fused ~shared:false parts
+    in
+    make b ~nparts:(List.length parts) candidates
+
+  let n t = t.st.Chunked.traces ()
+
   let fold ?jobs t segs =
-    if Array.length segs <> t.nparts then
-      invalid_arg "Dema.Sweep.fold: wrong number of part segments";
-    let len = Array.length (fst segs.(0)) in
-    if len > 0 then begin
-      Array.iter
-        (fun (col, ks) ->
-          if Array.length col <> len || Array.length ks <> len then
-            invalid_arg "Dema.Sweep.fold: ragged part segments")
-        segs;
-      for j = 0 to t.nparts - 1 do
-        let col, _ = segs.(j) in
-        let s = ref t.sums.(j) and ss = ref t.sqs.(j) in
-        for i = 0 to len - 1 do
-          let v = Array.unsafe_get col i in
-          s := !s +. v;
-          ss := !ss +. (v *. v)
-        done;
-        t.sums.(j) <- !s;
-        t.sqs.(j) <- !ss
-      done;
-      let jobs = min (Parallel.resolve jobs) (Array.length t.chunks) in
-      (match t.backend with
-      | Stats.Pearson.Batch.Scalar ->
-          let work c =
-            let off, clen = t.chunks.(c) in
-            for j = 0 to t.nparts - 1 do
-              let col, ks = segs.(j) in
-              let model = t.appls.(j) in
-              let sh = t.sh.(j) and shh = t.shh.(j) and sht = t.sht.(j) in
-              for r = off to off + clen - 1 do
-                let guess = Array.unsafe_get t.candidates r in
-                let a = ref (Array.unsafe_get sh r)
-                and aa = ref (Array.unsafe_get shh r)
-                and at = ref (Array.unsafe_get sht r) in
-                for i = 0 to len - 1 do
-                  let x =
-                    float_of_int
-                      (Bitops.popcount (model guess (Array.unsafe_get ks i)))
-                  in
-                  a := !a +. x;
-                  aa := !aa +. (x *. x);
-                  at := !at +. (x *. Array.unsafe_get col i)
-                done;
-                Array.unsafe_set sh r !a;
-                Array.unsafe_set shh r !aa;
-                Array.unsafe_set sht r !at
-              done
-            done
-          in
-          ignore
-            (Parallel.map_array ~jobs work
-               (Array.init (Array.length t.chunks) Fun.id))
-      | Stats.Pearson.Batch.Batched ->
-          (* per-part segment sources (prep tables for split models) are
-             built once on the owner and shared read-only by the chunks *)
-          let srcs =
-            Array.mapi (fun j (_, ks) -> seg_src t.models.(j) ks) segs
-          in
-          let work c =
-            let guesses = t.cand_chunks.(c) in
-            for j = 0 to t.nparts - 1 do
-              let col, _ = segs.(j) in
-              seg_fold t.accs.(c).(j) srcs.(j) ~cols:[| col |] ~len guesses
-            done
-          in
-          ignore
-            (Parallel.map_array ~jobs work
-               (Array.init (Array.length t.chunks) Fun.id)));
-      t.n <- t.n + len
-    end
+    t.st.Chunked.fold ~jobs:(Parallel.resolve jobs)
+      (Array.map (fun (col, ks) -> ([| col |], ks)) segs)
 
-  (* Finalised per-candidate scores over everything folded so far: sum
-     over parts of |r|, the fixed-budget sweeps' statistic, computed
-     with their exact epilogue. *)
-  let scores ?jobs t =
-    let g = Array.length t.candidates in
-    let out = Array.make g 0. in
-    if t.n > 0 then begin
-      let nf = float_of_int t.n in
-      let stats =
-        Array.init t.nparts (fun j ->
-            (t.sums.(j), t.sqs.(j) -. (t.sums.(j) *. t.sums.(j) /. nf)))
-      in
-      let jobs = min (Parallel.resolve jobs) (Array.length t.chunks) in
-      let work c =
-        let off, clen = t.chunks.(c) in
-        match t.backend with
-        | Stats.Pearson.Batch.Scalar ->
-            for j = 0 to t.nparts - 1 do
-              let sum_t, var_t = stats.(j) in
-              let sh = t.sh.(j) and shh = t.shh.(j) and sht = t.sht.(j) in
-              for r = off to off + clen - 1 do
-                let a = Array.unsafe_get sh r in
-                let vh = Array.unsafe_get shh r -. (a *. a /. nf) in
-                let cov = Array.unsafe_get sht r -. (a *. sum_t /. nf) in
-                let rr =
-                  if vh <= 0. || var_t <= 0. then 0.
-                  else cov /. sqrt (vh *. var_t)
-                in
-                out.(r) <- out.(r) +. Float.abs rr
-              done
-            done
-        | Stats.Pearson.Batch.Batched ->
-            for j = 0 to t.nparts - 1 do
-              let sum_t, var_t = stats.(j) in
-              let rs =
-                Stats.Pearson.Batch.Fused.corr t.accs.(c).(j) ~index:0 ~n:t.n
-                  ~sum_t ~var_t
-              in
-              for i = 0 to clen - 1 do
-                out.(off + i) <- out.(off + i) +. Float.abs rs.(i)
-              done
-            done
-      in
-      ignore
-        (Parallel.map_array ~jobs work (Array.init (Array.length t.chunks) Fun.id))
-    end;
-    out
+  let scores ?jobs t = t.st.Chunked.scores ~jobs:(Parallel.resolve jobs)
 
   let ranking ?jobs t ~top =
-    let sc = scores ?jobs t in
-    let tk = Topk.create top in
-    Array.iteri
-      (fun i s -> Topk.add tk { guess = t.candidates.(i); corr = s })
-      sc;
-    Topk.to_list tk
+    Topk.to_list (Topk.of_scores top t.candidates (scores ?jobs t))
 
   (* Top-1 vs runner-up under the deterministic total order, reported as
      mean |r| over parts so the statistic lives in [0, 1] like a single
@@ -384,225 +634,6 @@ module Sweep = struct
     }
 end
 
-let rank ?ctx ?jobs ?backend ~traces ~parts ~known ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let obs = c.Ctx.obs in
-  let d = Array.length traces in
-  let nparts = List.length parts in
-  let run () =
-    (* Guesses are scored on worker domains; the count accumulates in a
-       private Atomic and is emitted once, after the join, from the
-       owning domain (the Obs determinism contract). *)
-    let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-    let tick n = match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> () in
-    let result =
-      match c.Ctx.backend with
-      | Distinguisher.Pearson_scalar ->
-          (* column statistics are a per-sweep invariant: computed once
-             here, shared read-only by every guess on every domain *)
-          let cols =
-            List.map
-              (fun (s, model) ->
-                (Stats.Pearson.column_stats traces s, Hypothesis.Model.apply model))
-              parts
-          in
-          let score guess =
-            tick 1;
-            List.fold_left
-              (fun acc (col, model) ->
-                acc
-                +. Float.abs
-                     (Stats.Pearson.corr_with col (hyp_vector ~model ~known guess)))
-              0. cols
-          in
-          rank_scores ~ctx:c ~score ~top candidates
-      | Distinguisher.Pearson_batched ->
-          (* Fused sweep: no hypothesis block is ever materialised.  The
-             per-sweep invariants — column statistics and, for split
-             models, the prep table over the known operands — are built
-             once under "dema.prep"; each work chunk then runs one fused
-             kernel pass per part group, generating intermediates on the
-             fly inside the register tiles.  Scores accumulate per guess
-             in part order, exactly like the scalar fold, so every total
-             is bit-identical. *)
-          let groups =
-            Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-                List.map
-                  (fun (m, samples) ->
-                    ( seg_src m known,
-                      Array.map (fun s -> Stats.Pearson.column_stats traces s) samples
-                    ))
-                  (group_parts parts))
-          in
-          let score_block guesses =
-            let g = Array.length guesses in
-            tick g;
-            let scores = Array.make g 0. in
-            List.iter
-              (fun (src, stats) ->
-                let acc =
-                  Stats.Pearson.Batch.Fused.create ~rows:g ~ncols:(Array.length stats)
-                in
-                let cols = Array.map (fun cs -> cs.Stats.Pearson.col) stats in
-                seg_fold acc src ~cols ~len:d guesses;
-                Array.iteri
-                  (fun ci cs ->
-                    let rs =
-                      Stats.Pearson.Batch.Fused.corr acc ~index:ci ~n:d
-                        ~sum_t:cs.Stats.Pearson.sum ~var_t:cs.Stats.Pearson.var_n
-                    in
-                    for i = 0 to g - 1 do
-                      scores.(i) <- scores.(i) +. Float.abs rs.(i)
-                    done)
-                  stats)
-              groups;
-            scores
-          in
-          Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-              rank_block_scores ~ctx:c ~score_block ~top candidates)
-      | Distinguisher.Profiled store ->
-          (* profiled arm: per-(part, trace) class-score tables computed
-             once from the template store's points of interest (read
-             straight off the full trace rows), then summed per guess *)
-          let tables =
-            Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-                List.map
-                  (fun (s, m) ->
-                    let pt = Profile.point store ~sample:s in
-                    ( Hypothesis.Model.apply m,
-                      Array.map
-                        (fun t ->
-                          Profile.class_scores store pt ~get:(fun j -> t.(j)))
-                        traces ))
-                  parts)
-          in
-          Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-              profiled_rank_scores ~ctx:c ~nclass:store.Profile.nclass ~tables
-                ~known ~d ~top ~tick candidates)
-    in
-    (match scored with
-    | Some a ->
-        let n = Atomic.get a in
-        Obs.count obs "dema.guesses" n;
-        (* one correlation = ~6 flops/trace (centre, multiply-accumulate,
-           normalise amortised); a per-sweep order-of-magnitude estimate *)
-        Obs.gauge obs "dema.flops_est"
-          (float_of_int n *. float_of_int nparts *. 6. *. float_of_int d);
-        (* fewer traces than candidates: the top of the ranking is
-           dominated by chance correlations, not evidence *)
-        if d < n then
-          Obs.count ~level:Obs.Error
-            ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
-            obs "dema.degenerate_rank" 1
-    | None -> ());
-    result
-  in
-  if Obs.enabled obs then
-    Obs.span obs "dema.rank"
-      ~fields:
-        [
-          ("traces", Obs.Int d);
-          ("parts", Obs.Int nparts);
-          ("top", Obs.Int top);
-          ("backend", Obs.Str (backend_name c.Ctx.backend));
-          ("jobs", Obs.Int c.Ctx.jobs);
-        ]
-      run
-  else run ()
-
-let rank_absolute ?ctx ?jobs ?backend ~traces ~parts ~known ~top ~alpha ~baseline
-    candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let obs = c.Ctx.obs in
-  let d = Array.length traces in
-  let run () =
-    let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-    let tick n = match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> () in
-    let result =
-      (* the absolute-level distinguisher is a calibrated least-squares
-         statistic, not a correlation and not profiled: a [Profiled]
-         selection runs it on the scalar kernel ({!Ctx.kernel}) *)
-      match Ctx.kernel c with
-      | Stats.Pearson.Batch.Scalar ->
-          let cols =
-            List.map
-              (fun (s, model) ->
-                (Array.map (fun t -> t.(s)) traces, Hypothesis.Model.apply model))
-              parts
-          in
-          let score guess =
-            tick 1;
-            let err = ref 0. in
-            List.iter
-              (fun (col, model) ->
-                for i = 0 to d - 1 do
-                  let pred =
-                    baseline
-                    +. (alpha *. float_of_int (Bitops.popcount (model guess known.(i))))
-                  in
-                  let r = col.(i) -. pred in
-                  err := !err +. (r *. r)
-                done)
-              cols;
-            -. !err /. float_of_int d
-          in
-          rank_scores ~ctx:c ~score ~top candidates
-      | Stats.Pearson.Batch.Batched ->
-          (* Same additions in the same (part, trace) order as the scalar
-             arm, one running error per guess row — bit-identical scores;
-             split models additionally skip the per-guess operand digest
-             via the per-sweep prep table. *)
-          let cols =
-            List.map
-              (fun (s, model) ->
-                (Array.map (fun t -> t.(s)) traces, seg_src model known))
-              parts
-          in
-          let score_block guesses =
-            let g = Array.length guesses in
-            tick g;
-            let err = Array.make g 0. in
-            List.iter
-              (fun (col, src) ->
-                let gen =
-                  match src with
-                  | Tab (prepped, eval) ->
-                      fun gu i -> eval gu (Array.unsafe_get prepped i)
-                  | App f -> f
-                in
-                for r = 0 to g - 1 do
-                  let gu = Array.unsafe_get guesses r in
-                  let e = ref (Array.unsafe_get err r) in
-                  for i = 0 to d - 1 do
-                    let pred =
-                      baseline +. (alpha *. float_of_int (Bitops.popcount (gen gu i)))
-                    in
-                    let rr = Array.unsafe_get col i -. pred in
-                    e := !e +. (rr *. rr)
-                  done;
-                  Array.unsafe_set err r !e
-                done)
-              cols;
-            Array.map (fun e -> -. e /. float_of_int d) err
-          in
-          rank_block_scores ~ctx:c ~score_block ~top candidates
-    in
-    (match scored with
-    | Some a -> Obs.count obs "dema.guesses" (Atomic.get a)
-    | None -> ());
-    result
-  in
-  Obs.span obs "dema.rank_absolute"
-    ~fields:
-      [
-        ("traces", Obs.Int d);
-        ("top", Obs.Int top);
-        ("backend", Obs.Str (backend_name c.Ctx.backend));
-      ]
-    run
-
-(* ---- sequential early-stopping rank ---- *)
-
 type until = {
   ranking : scored list;
   stop : Sequential.Decision.stop option;
@@ -613,20 +644,29 @@ type until = {
 (* Single-unit campaign: one incremental sweep fed batch by batch, one
    tester looking at its leaders.  The unit's inner work (fold, score
    finalisation) parallelises over candidate chunks with the context's
-   [jobs]; the campaign driver itself runs single-unit. *)
-let run_until ~ctx ~spec ~total ~top ~parts ~feed candidates =
+   [jobs]; the campaign driver itself runs single-unit.  [feed needs]
+   pulls the next batch carrying the columns [needs] lists.  The
+   sequential gap testers are correlation statistics (Fisher-z on |r|),
+   so a profiled selection is rejected. *)
+let run_until ~ctx ~what ~spec ~total ~top ~parts ~feed candidates =
   let jobs = ctx.Ctx.jobs in
-  let backend = pearson_kernel_exn ~what:"Dema.rank_until" ctx.Ctx.backend in
-  let sweep = Sweep.create ~backend ~parts candidates in
+  if Distinguisher.is_profiled ctx.Ctx.backend then
+    invalid_arg
+      (what
+     ^ ": the profiled distinguisher has no sequential gap tester; use a Pearson \
+        backend");
+  let b = bind ~shared:true ctx.Ctx.backend parts in
+  let sweep = Sweep.make b ~nparts:(List.length parts) (Array.of_seq candidates) in
   let unit_ =
     {
-      Sequential.Campaign.fold = (fun segs -> Sweep.fold ~jobs sweep segs);
+      Sequential.Campaign.fold = (fun batch -> sweep.Sweep.st.Chunked.fold ~jobs batch);
       leaders = (fun () -> Sweep.leaders ~jobs sweep);
     }
   in
   let results =
-    Sequential.Campaign.run ~jobs:1 ~obs:ctx.Ctx.obs ~spec ~total ~feed
-      ~length:(fun segs -> Array.length (snd segs.(0)))
+    Sequential.Campaign.run ~jobs:1 ~obs:ctx.Ctx.obs ~spec ~total
+      ~feed:(feed (needs_of b))
+      ~length:(fun batch -> Array.length (snd batch.(0)))
       [| unit_ |]
   in
   let r = results.(0) in
@@ -637,29 +677,24 @@ let run_until ~ctx ~spec ~total ~top ~parts ~feed candidates =
     looks = r.Sequential.Campaign.looks;
   }
 
-let rank_until ?ctx ?jobs ?backend ~spec ?(batch = 64) ~traces ~parts ~known
-    ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
+let rank_until ?ctx ~spec ?(batch = 64) ~traces ~parts ~known ~top candidates =
+  let c = Ctx.or_default ctx in
   if batch < 1 then invalid_arg "Dema.rank_until: batch must be >= 1";
   let total = Array.length traces in
-  let samples = Array.of_list (List.map fst parts) in
-  let models = List.map snd parts in
   let pos = ref 0 in
-  let feed () =
+  let feed needs () =
     if !pos >= total then None
     else begin
       let off = !pos in
       let len = min batch (total - off) in
       pos := off + len;
-      let ks = Array.init len (fun i -> known.(off + i)) in
       Some
-        (Array.map
-           (fun s -> (Array.init len (fun i -> traces.(off + i).(s)), ks))
-           samples)
+        (batch_of needs ~len
+           ~get:(fun i s -> traces.(off + i).(s))
+           (Array.sub known off len))
     end
   in
-  run_until ~ctx:c ~spec ~total ~top ~parts:models ~feed
-    (Array.of_seq candidates)
+  run_until ~ctx:c ~what:"Dema.rank_until" ~spec ~total ~top ~parts ~feed candidates
 
 (* ---- streaming engine over an on-disk trace store ----
 
@@ -667,12 +702,12 @@ let rank_until ?ctx ?jobs ?backend ~spec ?(batch = 64) ~traces ~parts ~known
    shards are decoded on the Parallel domain pool (one shard per work
    unit, so at most [jobs] decoded shards are ever live) and their
    per-shard results are combined in shard order.  Column extraction is
-   arithmetic-free, so the assembled columns are byte-for-byte the ones
-   the in-memory path sees and every ranking below is bit-identical to
-   its in-memory counterpart at every [jobs]; the evolution path merges
-   Welford/Chan accumulators in shard order, deterministic at every
-   [jobs] and equal to a prefix rescan up to floating-point
-   reassociation. *)
+   arithmetic-free, so each shard is one segment of the same driver the
+   in-memory path feeds one segment, and every ranking below is
+   bit-identical to its in-memory counterpart at every [jobs]; the
+   evolution path merges Welford/Chan accumulators in shard order,
+   deterministic at every [jobs] and equal to a prefix rescan up to
+   floating-point reassociation. *)
 module Stream = struct
   type codec = {
     check : Tracestore.meta -> unit;
@@ -681,7 +716,7 @@ module Stream = struct
 
   (* The historical decode path: a store of full FALCON signing traces,
      FFT(c) recomputed from the stored salt+message.  Every entry point
-     defaults to it, so pre-target callers are bitwise unchanged. *)
+     defaults to it. *)
   let falcon_codec =
     {
       check =
@@ -701,12 +736,23 @@ module Stream = struct
     codec.check m;
     m
 
-  let map_shards ?ctx ?jobs ?on_corrupt ?prefetch ?(codec = falcon_codec) reader
-      f =
-    let c = Ctx.resolve ?ctx ?jobs () in
-    let on_corrupt = Option.value on_corrupt ~default:c.Ctx.on_corrupt in
-    let prefetch = Option.value prefetch ~default:c.Ctx.prefetch in
-    let obs = c.Ctx.obs in
+  (* Read and decode shard [i]; [None] when the corrupt-shard policy
+     drops it.  A silently shrunken campaign skews every downstream
+     statistic, so losing a shard is loud unless the caller opted in. *)
+  let fetch ~on_corrupt ~codec m reader i =
+    let drop msg = match on_corrupt with `Fail -> failwith msg | `Skip -> None in
+    match Tracestore.Reader.read_shard reader i with
+    | Some records -> Some (Array.map (codec.decode m) records)
+    | None ->
+        drop
+          (Printf.sprintf
+             "Dema.Stream: shard %d is corrupt or unreadable; pass \
+              ~on_corrupt:`Skip to drop it from the campaign"
+             i)
+    | exception Failure msg -> drop msg
+
+  let map_shards ~ctx ?(codec = falcon_codec) reader f =
+    let obs = ctx.Ctx.obs in
     let m = check_meta codec reader in
     let shards = Tracestore.Reader.shard_count reader in
     (* [done_] and [skipped] are private worker-side Atomics; [done_]
@@ -715,69 +761,22 @@ module Stream = struct
        from the owning domain. *)
     let done_ = Atomic.make 0 in
     let skipped = Atomic.make 0 in
-    let fetch i =
-      match Tracestore.Reader.read_shard reader i with
-      | Some records -> Some (Array.map (codec.decode m) records)
-      | None -> (
-          (* the reader's [`Skip] policy swallowed a corrupt shard; a
-             silently shrunken campaign skews every downstream statistic,
-             so losing it must be loud unless the caller opted in *)
-          match on_corrupt with
-          | `Fail ->
-              failwith
-                (Printf.sprintf
-                   "Dema.Stream: shard %d is corrupt or unreadable; pass \
-                    ~on_corrupt:`Skip to drop it from the campaign"
-                   i)
-          | `Skip ->
-              Atomic.incr skipped;
-              None)
-      | exception Failure msg -> (
-          match on_corrupt with
-          | `Fail -> failwith msg
-          | `Skip ->
-              Atomic.incr skipped;
-              None)
-    in
-    let progress () =
-      if Obs.enabled obs then
-        Obs.progress ~total:shards obs "shards" (1 + Atomic.fetch_and_add done_ 1)
-    in
     let results =
-      if c.Ctx.jobs = 1 && prefetch && shards > 1 then begin
-        (* single-job pipeline: a helper domain reads and decodes shard
-           i+1 while the owner runs [f] on shard i, overlapping IO with
-           scoring.  Results are consumed strictly in shard order, so the
-           outcome is the sequential one. *)
-        let out = ref [] in
-        let next = ref (Some (Domain.spawn (fun () -> fetch 0))) in
-        Fun.protect
-          ~finally:(fun () ->
-            match !next with
-            | Some dm -> ( try ignore (Domain.join dm) with _ -> ())
-            | None -> ())
-          (fun () ->
-            for i = 0 to shards - 1 do
-              let cur = Domain.join (Option.get !next) in
-              next :=
-                if i + 1 < shards then Some (Domain.spawn (fun () -> fetch (i + 1)))
-                else None;
-              (match cur with
-              | Some traces -> out := f i traces :: !out
-              | None -> ());
-              progress ()
-            done);
-        List.rev !out
-      end
-      else
-        List.filter_map Fun.id
-          (Parallel.map_chunks ~jobs:c.Ctx.jobs ~chunk:1
-             ~map:(fun _ chunk ->
-               let i = chunk.(0) in
-               let r = Option.map (f i) (fetch i) in
-               progress ();
-               r)
-             (Seq.init shards Fun.id))
+      List.filter_map Fun.id
+        (Parallel.map_chunks ~jobs:ctx.Ctx.jobs ~chunk:1
+           ~map:(fun _ chunk ->
+             let i = chunk.(0) in
+             let r =
+               match fetch ~on_corrupt:ctx.Ctx.on_corrupt ~codec m reader i with
+               | Some traces -> Some (f i traces)
+               | None ->
+                   Atomic.incr skipped;
+                   None
+             in
+             if Obs.enabled obs then
+               Obs.progress ~total:shards obs "shards" (1 + Atomic.fetch_and_add done_ 1);
+             r)
+           (Seq.init shards Fun.id))
     in
     if Obs.enabled obs then begin
       let bytes = ref 0 and traces = ref 0 in
@@ -794,11 +793,11 @@ module Stream = struct
     end;
     results
 
-  let extract ?ctx ?jobs ?on_corrupt ?prefetch ?codec reader ~samples ~known =
-    let c = Ctx.resolve ?ctx ?jobs () in
+  let extract ?ctx ?codec reader ~samples ~known =
+    let c = Ctx.or_default ctx in
     let samples = Array.of_list samples in
     let pieces =
-      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
+      map_shards ~ctx:c ?codec reader (fun _ traces ->
           ( Array.map
               (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
               traces,
@@ -807,221 +806,38 @@ module Stream = struct
     ( Array.concat (List.map fst pieces),
       Array.concat (List.map snd pieces) )
 
-  (* Streaming rank never materialises the campaign: each shard yields a
-     per-part column segment plus its known operands, global column
-     moments come from one sequential pass over the segments in shard
-     order (the very additions [column_stats] makes on the concatenated
-     column), and both backends then score the segments in shard order —
-     the scalar arm with running corr_with accumulators, the batched arm
-     by folding each part group's Fused accumulator across segments.
-     Every addition lands in the same accumulator in the same global
-     trace order as the in-memory sweep, so results are bit-identical to
-     [Dema.rank] on the extracted campaign at every [jobs] and backend. *)
-  let rank ?ctx ?jobs ?backend ?on_corrupt ?prefetch ?codec reader ~parts ~known
-      ~top candidates =
-    let c = Ctx.resolve ?ctx ?jobs ?backend () in
+  (* One shard's batch: its needed columns and known operands. *)
+  let shard_batch needs ~known (tr : Leakage.trace array) =
+    batch_of needs ~len:(Array.length tr)
+      ~get:(fun i s -> tr.(i).Leakage.samples.(s))
+      (Array.map known tr)
+
+  (* Streaming rank never materialises the campaign: each shard yields
+     one segment of per-part columns, and the in-memory driver folds the
+     segments in shard order — bit-identical to [Dema.rank] on the
+     extracted campaign at every [jobs] and distinguisher. *)
+  let rank ?ctx ?codec reader ~parts ~known ~top candidates =
+    let c = Ctx.or_default ctx in
     let obs = c.Ctx.obs in
-    (* profiled arm: extract each part's template POI columns (one
-       arithmetic-free streaming pass, deterministic in shard order),
-       compute the per-(part, trace) class tables, then score exactly
-       like the in-memory profiled [rank] — bit-identical to it over the
-       same traces at every [jobs] and prefetch setting. *)
-    let run_profiled store =
-      let pts =
-        List.map
-          (fun (s, m) ->
-            (Profile.point store ~sample:s, Hypothesis.Model.apply m))
-          parts
-      in
-      let samples =
-        List.concat_map (fun (pt, _) -> Array.to_list pt.Profile.abs_pois) pts
-      in
-      let cols, ks =
-        Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
-            extract ~ctx:c ?on_corrupt ?prefetch ?codec reader ~samples ~known)
-      in
-      let d = Array.length ks in
-      let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-      let tick n =
-        match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> ()
-      in
-      let tables =
-        Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-            let off = ref 0 in
-            List.map
-              (fun (pt, model) ->
-                let base = !off in
-                let npoi = Array.length pt.Profile.abs_pois in
-                off := base + npoi;
-                let pos = Hashtbl.create npoi in
-                Array.iteri
-                  (fun k a -> Hashtbl.replace pos a (base + k))
-                  pt.Profile.abs_pois;
-                ( model,
-                  Array.map
-                    (fun row ->
-                      Profile.class_scores store pt ~get:(fun j ->
-                          row.(Hashtbl.find pos j)))
-                    cols ))
-              pts)
-      in
-      let result =
-        Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-            profiled_rank_scores ~ctx:c ~nclass:store.Profile.nclass ~tables
-              ~known:ks ~d ~top ~tick candidates)
-      in
-      (match scored with
-      | Some a ->
-          let n = Atomic.get a in
-          Obs.count obs "dema.guesses" n;
-          if d < n then
-            Obs.count ~level:Obs.Error
-              ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
-              obs "dema.degenerate_rank" 1
-      | None -> ());
-      result
-    in
-    let run_pearson () =
-      let samples = Array.of_list (List.map fst parts) in
-      let nsamp = Array.length samples in
-      let pieces =
-        Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
-            Array.of_list
-              (map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader
-                 (fun _ traces ->
-                   let pd = Array.length traces in
-                   ( Array.init nsamp (fun j ->
-                         let s = samples.(j) in
-                         Array.init pd (fun i -> traces.(i).Leakage.samples.(s))),
-                     Array.map known traces ))))
-      in
-      let total_d = Array.fold_left (fun a (_, ks) -> a + Array.length ks) 0 pieces in
-      let nf = float_of_int total_d in
-      let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-      let tick n = match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> () in
-      (* whole-campaign column moments, accumulated segment by segment in
-         shard order — bit-identical to [column_stats] on the
-         concatenated column *)
-      let stats =
-        Array.init nsamp (fun j ->
-            let s = ref 0. and ss = ref 0. in
-            Array.iter
-              (fun (cols, _) ->
-                let col = cols.(j) in
-                for i = 0 to Array.length col - 1 do
-                  let v = Array.unsafe_get col i in
-                  s := !s +. v;
-                  ss := !ss +. (v *. v)
-                done)
-              pieces;
-            (!s, !ss -. (!s *. !s /. nf)))
-      in
-      let result =
-        match c.Ctx.backend with
-        | Distinguisher.Profiled _ -> assert false (* handled by run_profiled *)
-        | Distinguisher.Pearson_scalar ->
-            let models =
-              Array.of_list (List.map (fun (_, m) -> Hypothesis.Model.apply m) parts)
-            in
-            let score guess =
-              tick 1;
-              let acc = ref 0. in
-              for j = 0 to nsamp - 1 do
-                let model = models.(j) in
-                let sh = ref 0. and shh = ref 0. and sht = ref 0. in
-                Array.iter
-                  (fun (cols, ks) ->
-                    let col = cols.(j) in
-                    for i = 0 to Array.length ks - 1 do
-                      let x = float_of_int (Bitops.popcount (model guess ks.(i))) in
-                      sh := !sh +. x;
-                      shh := !shh +. (x *. x);
-                      sht := !sht +. (x *. Array.unsafe_get col i)
-                    done)
-                  pieces;
-                let sum_t, var_t = stats.(j) in
-                let vh = !shh -. (!sh *. !sh /. nf) in
-                let cov = !sht -. (!sh *. sum_t /. nf) in
-                let r =
-                  if vh <= 0. || var_t <= 0. then 0. else cov /. sqrt (vh *. var_t)
-                in
-                acc := !acc +. Float.abs r
-              done;
-              !acc
-            in
-            rank_scores ~ctx:c ~score ~top candidates
-        | Distinguisher.Pearson_batched ->
-            let groups =
-              Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-                  List.map
-                    (fun (m, js) ->
-                      (js, Array.map (fun (_, ks) -> seg_src m ks) pieces))
-                    (group_parts (List.mapi (fun j (_, m) -> (j, m)) parts)))
-            in
-            let score_block guesses =
-              let g = Array.length guesses in
-              tick g;
-              let scores = Array.make g 0. in
-              List.iter
-                (fun (js, srcs) ->
-                  let acc =
-                    Stats.Pearson.Batch.Fused.create ~rows:g ~ncols:(Array.length js)
-                  in
-                  Array.iteri
-                    (fun pi (cols, ks) ->
-                      seg_fold acc srcs.(pi)
-                        ~cols:(Array.map (fun j -> cols.(j)) js)
-                        ~len:(Array.length ks) guesses)
-                    pieces;
-                  Array.iteri
-                    (fun ci j ->
-                      let sum_t, var_t = stats.(j) in
-                      let rs =
-                        Stats.Pearson.Batch.Fused.corr acc ~index:ci ~n:total_d
-                          ~sum_t ~var_t
-                      in
-                      for i = 0 to g - 1 do
-                        scores.(i) <- scores.(i) +. Float.abs rs.(i)
-                      done)
-                    js)
-                groups;
-              scores
-            in
-            Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-                rank_block_scores ~ctx:c ~score_block ~top candidates)
-      in
-      (match scored with
-      | Some a ->
-          let n = Atomic.get a in
-          Obs.count obs "dema.guesses" n;
-          (* degenerate rank regime: see [rank] *)
-          if total_d < n then
-            Obs.count ~level:Obs.Error
-              ~fields:[ ("traces", Obs.Int total_d); ("guesses", Obs.Int n) ]
-              obs "dema.degenerate_rank" 1
-      | None -> ());
-      result
-    in
-    let run () =
-      match c.Ctx.backend with
-      | Distinguisher.Profiled store -> run_profiled store
-      | Distinguisher.Pearson_scalar | Distinguisher.Pearson_batched ->
-          run_pearson ()
-    in
     Obs.span obs "dema.stream.rank"
       ~fields:
         [
           ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
-          ("backend", Obs.Str (backend_name c.Ctx.backend));
+          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
         ]
-      run
+      (fun () ->
+        let b = bind ~shared:true c.Ctx.backend parts in
+        let batches =
+          Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
+              map_shards ~ctx:c ?codec reader (fun _ tr ->
+                  shard_batch (needs_of b) ~known tr))
+        in
+        fst (drive ~ctx:c ~what:"Dema.Stream.rank" b ~top batches candidates))
 
   (* Pull-based shard feed for adaptive campaigns: decoded strictly in
-     shard order, one at a time, with one decode kept in flight on a
-     helper domain when [prefetch] — the caller consumes at its own
-     pace and simply stops pulling at the stopping point, so unread
-     shards are never decoded.  The delivered trace sequence (order,
-     skips, truncation at the cap) is independent of [prefetch]. *)
+     shard order, one at a time — the caller consumes at its own pace
+     and simply stops pulling at the stopping point, so unread shards
+     are never decoded. *)
   type feed = {
     next : unit -> Leakage.trace array option;
     close : unit -> unit;
@@ -1029,8 +845,9 @@ module Stream = struct
     skipped : unit -> int;
   }
 
-  let shard_feed ?(obs = Obs.null) ?(on_corrupt = `Fail) ?(prefetch = true)
-      ?(codec = falcon_codec) ?max_traces reader =
+  let shard_feed ?ctx ?(codec = falcon_codec) ?max_traces reader =
+    let c = Ctx.or_default ctx in
+    let obs = c.Ctx.obs in
     let m = check_meta codec reader in
     let shards = Tracestore.Reader.shard_count reader in
     let cap =
@@ -1043,64 +860,29 @@ module Stream = struct
           min k avail
     in
     let skipped = ref 0 in
-    let fetch i =
-      match Tracestore.Reader.read_shard reader i with
-      | Some records -> Some (Array.map (codec.decode m) records)
-      | None -> (
-          match on_corrupt with
-          | `Fail ->
-              failwith
-                (Printf.sprintf
-                   "Dema.Stream: shard %d is corrupt or unreadable; pass \
-                    ~on_corrupt:`Skip to drop it from the campaign"
-                   i)
-          | `Skip -> None)
-      | exception Failure msg -> (
-          match on_corrupt with `Fail -> failwith msg | `Skip -> None)
-    in
     let idx = ref 0 in
-    let pending = ref None in
-    let take () =
-      let cur =
-        match !pending with
-        | Some d ->
-            pending := None;
-            Domain.join d
-        | None -> fetch !idx
-      in
-      incr idx;
-      if prefetch && !idx < shards then begin
-        let i = !idx in
-        pending := Some (Domain.spawn (fun () -> fetch i))
-      end;
-      (match cur with None -> incr skipped | Some _ -> ());
-      cur
-    in
     let delivered = ref 0 in
     let rec next () =
       if !delivered >= cap || !idx >= shards then None
-      else
-        match take () with
-        | None -> next ()
+      else begin
+        let cur = fetch ~on_corrupt:c.Ctx.on_corrupt ~codec m reader !idx in
+        incr idx;
+        match cur with
+        | None ->
+            incr skipped;
+            next ()
         | Some tr ->
             let room = cap - !delivered in
-            let tr =
-              if Array.length tr > room then Array.sub tr 0 room else tr
-            in
+            let tr = if Array.length tr > room then Array.sub tr 0 room else tr in
             delivered := !delivered + Array.length tr;
             if Array.length tr = 0 then next () else Some tr
+      end
     in
     (* The pass's counters, emitted once, on the first [close], by the
-       domain that owns the feed: the shards it consumed (an in-flight
-       decode ahead of the stopping point does not count), their bytes,
+       domain that owns the feed: the shards it consumed, their bytes,
        and the traces it delivered. *)
     let closed = ref false in
     let close () =
-      (match !pending with
-      | Some d ->
-          pending := None;
-          (try ignore (Domain.join d) with _ -> ())
-      | None -> ());
       if not !closed then begin
         closed := true;
         if Obs.enabled obs then begin
@@ -1118,62 +900,40 @@ module Stream = struct
     { next; close; total = cap; skipped = (fun () -> !skipped) }
 
   (* Adaptive variant of [rank]: shards are decoded one at a time (with
-     the same corrupt-shard policy and an optional decode-ahead domain)
-     and fed to an incremental sweep; the tester looks after each shard
-     per the spec's schedule and the pull stops at the stopping point.
-     Fed to exhaustion it returns [rank]'s exact ranking. *)
-  let rank_until ?ctx ?jobs ?backend ?on_corrupt ?prefetch ?codec ~spec
-      ?max_traces reader ~parts ~known ~top candidates =
-    let c = Ctx.resolve ?ctx ?jobs ?backend () in
-    let obs = c.Ctx.obs in
-    let fd =
-      shard_feed ~obs
-        ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
-        ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
-        ?codec ?max_traces reader
-    in
-    let samples = Array.of_list (List.map fst parts) in
-    let models = List.map snd parts in
-    let feed () =
-      match fd.next () with
-      | None -> None
-      | Some tr ->
-          let ks = Array.map known tr in
-          Some
-            (Array.map
-               (fun s ->
-                 ( Array.map (fun (t : Leakage.trace) -> t.Leakage.samples.(s)) tr,
-                   ks ))
-               samples)
-    in
+     the same corrupt-shard policy) and fed to an incremental sweep; the
+     tester looks after each shard per the spec's schedule and the pull
+     stops at the stopping point.  Fed to exhaustion it returns [rank]'s
+     exact ranking. *)
+  let rank_until ?ctx ?codec ~spec ?max_traces reader ~parts ~known ~top candidates =
+    let c = Ctx.or_default ctx in
+    let fd = shard_feed ~ctx:c ?codec ?max_traces reader in
+    let feed needs () = Option.map (shard_batch needs ~known) (fd.next ()) in
     Fun.protect ~finally:fd.close (fun () ->
-        Obs.span obs "dema.stream.rank_until"
+        Obs.span c.Ctx.obs "dema.stream.rank_until"
           ~fields:
             [
               ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
               ("total", Obs.Int fd.total);
-              ("backend", Obs.Str (backend_name c.Ctx.backend));
+              ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
               ("jobs", Obs.Int c.Ctx.jobs);
             ]
           (fun () ->
-            run_until ~ctx:c ~spec ~total:fd.total ~top ~parts:models ~feed
-              (Array.of_seq candidates)))
+            run_until ~ctx:c ~what:"Dema.Stream.rank_until" ~spec ~total:fd.total ~top
+              ~parts ~feed candidates))
 
-  let evolution ?ctx ?jobs ?on_corrupt ?prefetch ?codec reader ~sample ~model
-      ~known ~guess =
-    let c = Ctx.resolve ?ctx ?jobs () in
-    if Tracestore.Reader.total_traces reader = 0 then
-      failwith "Dema.Stream.evolution: store holds no traces (empty campaign)";
+  let evolution ?ctx ?codec reader ~sample ~model ~known ~guess =
+    let c = Ctx.or_default ctx in
+    let tot = Tracestore.Reader.total_traces reader in
+    check_traces ~what:"Dema.Stream.evolution" tot;
     (* below 4 traces the correlation (and any Fisher-z band on it) is
        pure noise — flag the degenerate campaign instead of silently
        returning it *)
-    let tot = Tracestore.Reader.total_traces reader in
     if tot <= 3 then
       Obs.count ~level:Obs.Error
         ~fields:[ ("traces", Obs.Int tot) ]
         c.Ctx.obs "dema.degenerate_evolution" 1;
     let per_shard =
-      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
+      map_shards ~ctx:c ?codec reader (fun _ traces ->
           let acc = Stats.Welford.Cov.create () in
           Array.iter
             (fun (t : Leakage.trace) ->
@@ -1192,16 +952,19 @@ module Stream = struct
         (Stats.Welford.Cov.create (), [])
         per_shard
     in
+    (* every shard dropped under [`Skip] leaves nothing to correlate *)
+    check_traces ~what:"Dema.Stream.evolution"
+      (match checkpoints with (n, _) :: _ -> n | [] -> 0);
     List.rev checkpoints
 end
 
-let corr_time ?ctx ?backend ~traces ~model ~known ~guesses () =
-  let c = Ctx.resolve ?ctx ?backend () in
+let corr_time ?ctx ~traces ~model ~known ~guesses () =
+  let c = Ctx.or_default ctx in
   Obs.span c.Ctx.obs "dema.corr_time"
     ~fields:
       [
         ("guesses", Obs.Int (Array.length guesses));
-        ("backend", Obs.Str (backend_name c.Ctx.backend));
+        ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
       ]
     (fun () ->
       (* a correlation-vs-time matrix is Pearson by definition; a
@@ -1222,155 +985,18 @@ let evolution ~traces ~sample ~model ~known ~guess ~step =
   let hyp = hyp_vector ~model ~known guess in
   Stats.Pearson.evolution ~traces ~hyp ~sample ~step
 
-(* ---- registered distinguisher instances ----
+(* The {!Distinguisher.S} seam over the same kernels and the persistent
+   driver: driving an instance by hand scores exactly like the ranking
+   entry points.  Parts folded through the seam carry their own known
+   operands, so they are never grouped. *)
+let distinguisher sel : (module Distinguisher.S) =
+  (module struct
+    let name = Distinguisher.name sel
 
-   The {!Distinguisher.S} streaming seam, instantiated.  The two Pearson
-   instances wrap the incremental {!Sweep} (whose fed-to-exhaustion
-   parity with [rank] is test-pinned), so scoring through the interface
-   is bit-identical to the pre-interface fixed-budget paths; the
-   profiled instance accumulates template log-likelihoods per guess with
-   the same class tables the [rank] arms use. *)
+    type 'k state = 'k Chunked.t
 
-module Pearson_instance (K : sig
-  val kernel : Stats.Pearson.Batch.backend
-end) : Distinguisher.S = struct
-  let name = Distinguisher.name (Distinguisher.of_pearson K.kernel)
-
-  type 'k state = { sweep : 'k Sweep.t; needs : int list list }
-
-  let create ~parts ~guesses =
-    {
-      sweep = Sweep.create ~backend:K.kernel ~parts:(List.map snd parts) guesses;
-      needs = List.map (fun (s, _) -> [ s ]) parts;
-    }
-
-  let needs st = st.needs
-
-  let fold ?jobs st batch =
-    let segs =
-      Array.map
-        (fun (cols, ks) ->
-          if Array.length cols <> 1 then
-            invalid_arg
-              "Dema.distinguisher: a Pearson part folds exactly one column";
-          (cols.(0), ks))
-        batch
-    in
-    Sweep.fold ?jobs st.sweep segs
-
-  let finalize ?jobs st = Sweep.scores ?jobs st.sweep
-end
-
-module Pearson_scalar_instance = Pearson_instance (struct
-  let kernel = Stats.Pearson.Batch.Scalar
-end)
-
-module Pearson_batched_instance = Pearson_instance (struct
-  let kernel = Stats.Pearson.Batch.Batched
-end)
-
-module Profiled_instance (P : sig
-  val store : Profile.store
-end) : Distinguisher.S = struct
-  let name = "profiled"
-
-  type 'k state = {
-    guesses : int array;
-    parts : (Profile.template * (int -> 'k -> int)) array;
-    needs : int list list;
-    sll : float array array;
-        (* per part x guess: summed class log-likelihood.  Keeping one
-           accumulator per part means every accumulator sees its terms
-           in global trace order no matter how the stream is chunked,
-           so scores are bit-identical across batch splits (in-memory
-           vs per-shard streaming), not just across [jobs]. *)
-    mutable n : int;
-  }
-
-  let create ~parts ~guesses =
-    let resolved =
-      Array.of_list
-        (List.map
-           (fun (s, m) ->
-             let pt = Profile.point P.store ~sample:s in
-             (pt, Hypothesis.Model.apply m))
-           parts)
-    in
-    {
-      guesses;
-      parts = Array.map (fun (pt, m) -> (pt.Profile.tpl, m)) resolved;
-      needs =
-        Array.to_list
-          (Array.map
-             (fun (pt, _) -> Array.to_list pt.Profile.abs_pois)
-             resolved);
-      sll =
-        Array.init (List.length parts) (fun _ ->
-            Array.make (Array.length guesses) 0.);
-      n = 0;
-    }
-
-  let needs st = st.needs
-
-  (* Accumulation is per-guess into disjoint slots in a fixed loop
-     order, so [jobs] cannot change the result; the fold runs on the
-     owner domain. *)
-  let fold ?jobs st batch =
-    ignore jobs;
-    if Array.length batch <> Array.length st.parts then
-      invalid_arg "Dema.distinguisher: wrong number of part segments";
-    let nclass = P.store.Profile.nclass in
-    let g = Array.length st.guesses in
-    let len =
-      match batch with [||] -> 0 | _ -> Array.length (snd batch.(0))
-    in
-    Array.iteri
-      (fun j (cols, ks) ->
-        let tpl, model = st.parts.(j) in
-        let acc = st.sll.(j) in
-        let npoi = Array.length tpl.Profile.pois in
-        if Array.length cols <> npoi then
-          invalid_arg
-            "Dema.distinguisher: profiled part needs its template's POI columns";
-        Array.iter
-          (fun (col : float array) ->
-            if Array.length col <> len then
-              invalid_arg "Dema.distinguisher: ragged part segments")
-          cols;
-        if Array.length ks <> len then
-          invalid_arg "Dema.distinguisher: ragged part segments";
-        let x = Array.make npoi 0. in
-        for i = 0 to len - 1 do
-          for k = 0 to npoi - 1 do
-            x.(k) <- cols.(k).(i)
-          done;
-          let scores = Profile.class_scores_vec P.store tpl x in
-          let y = ks.(i) in
-          for r = 0 to g - 1 do
-            let cls = Bitops.popcount (model st.guesses.(r) y) in
-            let cls = if cls >= nclass then nclass - 1 else cls in
-            acc.(r) <- acc.(r) +. scores.(cls)
-          done
-        done)
-      batch;
-    st.n <- st.n + len
-
-  let finalize ?jobs st =
-    ignore jobs;
-    let nrm = 1. /. float_of_int (max 1 st.n) in
-    Array.init
-      (Array.length st.guesses)
-      (fun r ->
-        let s = ref 0. in
-        Array.iter (fun acc -> s := !s +. acc.(r)) st.sll;
-        !s *. nrm)
-end
-
-let distinguisher : Distinguisher.selection -> (module Distinguisher.S) =
-  function
-  | Distinguisher.Pearson_scalar -> (module Pearson_scalar_instance)
-  | Distinguisher.Pearson_batched -> (module Pearson_batched_instance)
-  | Distinguisher.Profiled store ->
-      (module Profiled_instance (struct
-        let store = store
-      end))
+    let create ~parts ~guesses = Chunked.create (bind ~shared:false sel parts) guesses
+    let needs st = st.Chunked.needs
+    let fold ?jobs st batch = st.Chunked.fold ~jobs:(Parallel.resolve jobs) batch
+    let finalize ?jobs st = st.Chunked.scores ~jobs:(Parallel.resolve jobs)
+  end)

@@ -3,10 +3,6 @@ type selection =
   | Pearson_batched
   | Profiled of Profile.store
 
-let of_pearson = function
-  | Stats.Pearson.Batch.Scalar -> Pearson_scalar
-  | Stats.Pearson.Batch.Batched -> Pearson_batched
-
 let kernel = function
   | Pearson_scalar -> Stats.Pearson.Batch.Scalar
   | Pearson_batched -> Stats.Pearson.Batch.Batched
@@ -19,13 +15,11 @@ let name = function
 
 let names = [ "scalar"; "batched"; "profiled" ]
 let is_profiled = function Profiled _ -> true | _ -> false
-let default () = of_pearson (Stats.Pearson.Batch.default_backend ())
 
-let resolve ?backend ?distinguisher () =
-  match distinguisher with
-  | Some d -> d
-  | None -> (
-      match backend with Some b -> of_pearson b | None -> default ())
+let default () =
+  match Stats.Pearson.Batch.default_backend () with
+  | Stats.Pearson.Batch.Scalar -> Pearson_scalar
+  | Stats.Pearson.Batch.Batched -> Pearson_batched
 
 module type S = sig
   val name : string

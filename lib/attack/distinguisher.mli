@@ -1,14 +1,8 @@
 (** The scoring seam: which statistic turns traces into per-guess scores.
 
-    Historically "backend" meant a Pearson kernel choice
-    ({!Stats.Pearson.Batch.backend}, [Scalar | Batched]) — a private
-    enum of one distinguisher.  A profiled template attack is not a
-    Pearson kernel, so the selection is now first-class: a {!selection}
-    names {e which} distinguisher scores a sweep, and the Pearson kernel
-    enum survives inside the two Pearson instances.  {!Ctx.t} carries a
-    [selection]; the old [?backend:Stats.Pearson.Batch.backend]
-    optionals remain accepted everywhere as deprecated shims that map
-    through {!of_pearson}.
+    A {!selection} names {e which} distinguisher scores a sweep: one of
+    the two Pearson kernels of Eq. (1) ({!Stats.Pearson.Batch.backend})
+    or a profiled template store.  {!Ctx.t} carries a [selection].
 
     {b The streaming contract} ({!S}): a distinguisher instance is
     created from a part set and a fixed guess array, declares which
@@ -16,23 +10,18 @@
     per-part column batches in global trace order, and finalises to one
     score per guess.  Determinism is part of the contract: folding the
     same batches in the same order must yield bit-identical scores at
-    every [jobs], which is what lets the streaming engine merge
-    per-shard work across domains in shard order.  Instances are
-    registered in [Dema] ([Dema.distinguisher]), next to the sweeps
-    that host them; the two Pearson instances wrap the incremental
-    sweep ([Dema.Sweep]) and are bit-identical to the fixed-budget
-    Pearson paths (parity-tested). *)
+    every [jobs] and every batch split, which is what lets the streaming
+    engine merge per-shard work in shard order.  Instances are
+    registered in [Dema] ([Dema.distinguisher]); every Dema ranking
+    entry point scores through the same per-distinguisher code, so an
+    instance driven by hand scores exactly like [Dema.rank]. *)
 
 type selection =
-  | Pearson_scalar  (** the historical per-guess correlation loop *)
+  | Pearson_scalar  (** the scalar reference correlation loop *)
   | Pearson_batched  (** the fused register-tiled Pearson kernel *)
   | Profiled of Profile.store
       (** template log-likelihood scoring against a trained
           {!Profile.store} (GALACTICS-style profiled attack) *)
-
-val of_pearson : Stats.Pearson.Batch.backend -> selection
-(** The deprecated-shim mapping: [Scalar]/[Batched] to the matching
-    Pearson instance. *)
 
 val kernel : selection -> Stats.Pearson.Batch.backend
 (** The Pearson kernel a selection implies for the correlation-only
@@ -50,15 +39,9 @@ val names : string list
 val is_profiled : selection -> bool
 
 val default : unit -> selection
-(** The process default: {!of_pearson} of
-    [Stats.Pearson.Batch.default_backend ()] — so [FD_PEARSON] keeps
-    selecting the Pearson kernel exactly as before. *)
-
-val resolve :
-  ?backend:Stats.Pearson.Batch.backend -> ?distinguisher:selection -> unit -> selection
-(** Merge the deprecated Pearson optional with the first-class one:
-    an explicit [?distinguisher] wins, else an explicit [?backend] maps
-    through {!of_pearson}, else {!default}. *)
+(** The process default: the Pearson instance of
+    [Stats.Pearson.Batch.default_backend ()], so [FD_PEARSON] selects
+    the Pearson kernel. *)
 
 (** The streaming distinguisher interface (prep / fold / finalize). *)
 module type S = sig
@@ -88,5 +71,6 @@ module type S = sig
   (** Per-guess scores over everything folded so far (positionally
       matching the [create] guess array).  Pure with respect to the
       state — finalising twice, or finalising mid-stream at a look,
-      yields the same scores as the equivalent one-shot sweep. *)
+      yields the same scores as the equivalent one-shot sweep.  Raises
+      [Failure] before the first trace is folded. *)
 end

@@ -56,20 +56,20 @@ let fan_tasks ~ctx ~n task =
   done;
   out
 
-let recover_f_fft ?ctx ?jobs ?leakage ~traces ~n strategy =
-  let c = Ctx.resolve ?ctx ?jobs () in
+let recover_f_fft ?ctx ~traces ~n strategy =
+  let c = Ctx.or_default ctx in
   Obs.span c.Ctx.obs "fullkey.recover_f_fft"
     ~fields:[ ("n", Obs.Int n); ("jobs", Obs.Int c.Ctx.jobs) ]
   @@ fun () ->
   fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
       let views = Recover.views_for traces ~coeff ~component in
-      Recover.coefficient ~ctx:tctx ?leakage
+      Recover.coefficient ~ctx:tctx
         ~strategy:(strategy ~coeff ~mul:(mul_of component))
         views)
 
-let recover_key ?ctx ?jobs ?leakage ~traces ~h strategy =
+let recover_key ?ctx ~traces ~h strategy =
   let n = Array.length h in
-  let f_fft = recover_f_fft ?ctx ?jobs ?leakage ~traces ~n strategy in
+  let f_fft = recover_f_fft ?ctx ~traces ~n strategy in
   let f = Fft.round_to_int (Fft.ifft f_fft) in
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in
   { f_fft; f; keypair }
@@ -159,12 +159,12 @@ let buffer_views b =
    the unit is retired: its buffer stops growing and later batches skip
    its scoring entirely.
 
-   Determinism: batches arrive in shard order whatever the prefetch
-   setting, each unit's buffer and sweeps are touched only by its own
-   fold in batch order with single-job inner sweeps (unit-level
-   parallelism comes from the campaign driver), and decisions run on
-   the owner domain in unit order — stop points, winners and the
-   recovered key are bit-identical at every [jobs] and backend. *)
+   Determinism: batches arrive in shard order, each unit's buffer and
+   sweeps are touched only by its own fold in batch order with
+   single-job inner sweeps (unit-level parallelism comes from the
+   campaign driver), and decisions run on the owner domain in unit
+   order — stop points, winners and the recovered key are bit-identical
+   at every [jobs] and backend. *)
 
 let decision_candidates strategy ~coeff ~mul =
   match (strategy ~coeff ~mul : Recover.strategy) with
@@ -229,9 +229,8 @@ let campaign_unit ~backend strategy t b =
   in
   { Sequential.Campaign.fold = unit_fold b ~low ~high; leaders = unit_leaders ~low ~high }
 
-let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
-    ?max_traces ?stop_report ~reader strategy =
-  let c = Ctx.resolve ?ctx ?jobs () in
+let recover_f_fft_store ?ctx ?stop ?max_traces ?stop_report ~reader strategy =
+  let c = Ctx.or_default ctx in
   let obs = c.Ctx.obs in
   let n = (Tracestore.Reader.meta reader).Tracestore.n in
   Obs.span obs "fullkey.recover_f_fft_store"
@@ -248,7 +247,7 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
        transition takes the recovered d, so there is no high sweep to
        decide on.  Mirror the Exhaustive rejection rather than decide
        on a mismatched model. *)
-    if leakage = Some `Hd || (leakage = None && c.Ctx.leakage = `Hd) then
+    if c.Ctx.leakage = `Hd then
       invalid_arg
         "Fullkey: ?stop is not available under `Hd leakage — the streaming \
          decision sweeps have no d-free Hamming-distance part set";
@@ -259,12 +258,7 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
   end;
   let bufs =
     Obs.span obs "fullkey.store_pass" @@ fun () ->
-    let fd =
-      Dema.Stream.shard_feed ~obs
-        ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
-        ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
-        ?max_traces reader
-    in
+    let fd = Dema.Stream.shard_feed ~ctx:c ?max_traces reader in
     Fun.protect ~finally:fd.Dema.Stream.close @@ fun () ->
     let total = fd.Dema.Stream.total in
     let bufs = Array.init (2 * n) (buffer_create ~cap:total) in
@@ -296,12 +290,11 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
       let t = (2 * coeff) + mul_of component in
       let views = buffer_views (Option.get slots.(t)) in
       slots.(t) <- None;
-      Recover.coefficient ~ctx:tctx ?leakage
+      Recover.coefficient ~ctx:tctx
         ~strategy:(strategy ~coeff ~mul:(mul_of component))
         views)
 
-let recover_key_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
-    ?max_traces ?stop_report ~reader ~h strategy =
+let recover_key_store ?ctx ?stop ?max_traces ?stop_report ~reader ~h strategy =
   let n = Array.length h in
   let store_n = (Tracestore.Reader.meta reader).Tracestore.n in
   if store_n <> n then
@@ -311,8 +304,7 @@ let recover_key_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
           is FALCON-%d"
          store_n n);
   let f_fft =
-    recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
-      ?max_traces ?stop_report ~reader strategy
+    recover_f_fft_store ?ctx ?stop ?max_traces ?stop_report ~reader strategy
   in
   let f = Fft.round_to_int (Fft.ifft f_fft) in
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in

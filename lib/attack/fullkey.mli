@@ -17,8 +17,6 @@ type result = {
 
 val recover_f_fft :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?leakage:Recover.leakage ->
   traces:Leakage.trace array ->
   n:int ->
   (coeff:int -> mul:int -> Recover.strategy) ->
@@ -27,13 +25,15 @@ val recover_f_fft :
     through multiplication 0 (c_re x f_re), the imaginary part through
     multiplication 1 (c_im x f_im).
 
-    [?jobs] fans the 2n independent per-coefficient attacks out across a
-    domain pool (leftover parallelism flows into the candidate sweeps);
-    the recovered transform is bit-identical at every [jobs] provided
-    [strategy] is pure per (coeff, mul) — e.g. builds any RNG it uses
-    from a (coeff, mul)-derived seed.
+    [ctx.jobs] fans the 2n independent per-coefficient attacks out
+    across a domain pool (leftover parallelism flows into the candidate
+    sweeps); the recovered transform is bit-identical at every [jobs]
+    provided [strategy] is pure per (coeff, mul) — e.g. builds any RNG
+    it uses from a (coeff, mul)-derived seed.  [ctx.leakage] selects the
+    hypothesis models the per-coefficient attacks are matched against
+    (see {!Recover.leakage}).
 
-    [?ctx] additionally carries the Pearson backend and an observability
+    [?ctx] also carries the Pearson backend and an observability
     context: each task runs under a buffered child context whose events
     ("fullkey.task" spans labelled with coefficient and component, and
     everything the per-coefficient attack emits) are drained in task
@@ -42,8 +42,6 @@ val recover_f_fft :
 
 val recover_key :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?leakage:Recover.leakage ->
   traces:Leakage.trace array ->
   h:int array ->
   (coeff:int -> mul:int -> Recover.strategy) ->
@@ -51,10 +49,6 @@ val recover_key :
 
 val recover_f_fft_store :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?on_corrupt:[ `Fail | `Skip ] ->
-  ?prefetch:bool ->
-  ?leakage:Recover.leakage ->
   ?stop:Sequential.Decision.spec ->
   ?max_traces:int ->
   ?stop_report:(Sequential.Campaign.summary -> unit) ->
@@ -72,13 +66,12 @@ val recover_f_fft_store :
     trace count: O(traces x n) words, 2n x (32 + 2) per trace (34.8 MB
     at n = 32 and 2000 traces, 2.8 GB at FALCON-512 with 10k traces) —
     what the adaptive [?stop] driver buffers — plus one decoded shard
-    (two with prefetch) in flight.  Bit-identical to the in-memory
-    path over the same traces, at every [jobs] and prefetch setting.
-    [?max_traces] caps the campaign at its first that many traces.
-    [on_corrupt] and [prefetch] are forwarded to
-    {!Dema.Stream.shard_feed}: by default a corrupt shard fails the
-    whole recovery loudly; under [`Skip] the result is the in-memory
-    recovery of the surviving traces.  The pass emits one
+    in flight.  Bit-identical to the in-memory path over the same
+    traces, at every [jobs].  [?max_traces] caps the campaign at its
+    first that many traces.  The pass reads through
+    {!Dema.Stream.shard_feed}: by default ([ctx.on_corrupt] = [`Fail]) a
+    corrupt shard fails the whole recovery loudly; under [`Skip] the
+    result is the in-memory recovery of the surviving traces.  The pass emits one
     [tracestore.shards] / [tracestore.bytes] / [tracestore.traces]
     count each.
 
@@ -93,23 +86,19 @@ val recover_f_fft_store :
     attack then runs on its buffered prefix.  [?stop_report] receives
     the per-unit traces-used summary.
     Stop points and the recovered transform are bit-identical across
-    [jobs], backends and prefetch settings.  Raises [Invalid_argument]
-    if [?stop] is combined with an [Exhaustive] strategy (the 2^25
-    space cannot be re-scored at every look) or with [~leakage:`Hd]
-    (every usable high-half bus transition takes the recovered d, so
-    there is no d-free decision sweep); [?stop_report] is called only
-    with [?stop].
+    [jobs] and backends.  Raises [Invalid_argument] if [?stop] is
+    combined with an [Exhaustive] strategy (the 2^25 space cannot be
+    re-scored at every look), with [`Hd] leakage (every usable
+    high-half bus transition takes the recovered d, so there is no
+    d-free decision sweep) or with the profiled distinguisher;
+    [?stop_report] is called only with [?stop].
 
-    [?leakage] selects the hypothesis models the per-coefficient
-    attacks are matched against (see {!Recover.leakage}); attack a
-    bus-HD campaign ([Leakage.hd_emitter]) with [~leakage:`Hd]. *)
+    [ctx.leakage] selects the hypothesis models as in {!recover_f_fft};
+    attack a bus-HD campaign ([Leakage.hd_emitter]) with
+    [Ctx.with_leakage `Hd]. *)
 
 val recover_key_store :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?on_corrupt:[ `Fail | `Skip ] ->
-  ?prefetch:bool ->
-  ?leakage:Recover.leakage ->
   ?stop:Sequential.Decision.spec ->
   ?max_traces:int ->
   ?stop_report:(Sequential.Campaign.summary -> unit) ->
@@ -119,8 +108,8 @@ val recover_key_store :
   result
 (** [recover_key] reading from a trace store.  Raises [Failure] if the
     store's ring size disagrees with the public key, or (by default) if
-    any shard is corrupt — pass [~on_corrupt:`Skip] to drop bad shards
-    from the campaign instead. *)
+    any shard is corrupt — a context with [on_corrupt = `Skip] drops bad
+    shards from the campaign instead. *)
 
 val component_muls : [ `Re | `Im ] -> int list
 (** The two multiplications a secret component leaks through: f_re in

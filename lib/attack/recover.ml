@@ -317,10 +317,9 @@ let hd_sign_exp_stage ~mant =
     (Fpr.Result_hi, Hypothesis.Model.fn (fun g y -> lo_word y lxor hi_word g y));
   ]
 
-let sign_exponent_multi ?ctx ?jobs ?leakage
-    ?(exp_candidates = default_exponent_window) ~mant views =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let sign_exponent_multi ?ctx ?(exp_candidates = default_exponent_window) ~mant views =
+  let c = Ctx.or_default ctx in
+  let leakage = c.Ctx.leakage in
   Obs.span c.Ctx.obs "recover.sign_exponent"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
@@ -355,11 +354,11 @@ let sign_exponent_multi ?ctx ?jobs ?leakage
   | best :: _ -> (best.guess lsr 11, best.guess land 0x7FF, ranked)
   | [] -> invalid_arg "Recover.sign_exponent: empty candidate set"
 
-let attack_sign_exponent ?ctx ?jobs ?leakage ?exp_candidates ~mant v =
-  sign_exponent_multi ?ctx ?jobs ?leakage ?exp_candidates ~mant [ v ]
+let attack_sign_exponent ?ctx ?exp_candidates ~mant v =
+  sign_exponent_multi ?ctx ?exp_candidates ~mant [ v ]
 
-let attack_exponent ?ctx ?jobs ?candidates ~mant ~sign v =
-  let c = Ctx.resolve ?ctx ?jobs () in
+let attack_exponent ?ctx ?candidates ~mant ~sign v =
+  let c = Ctx.or_default ctx in
   let candidates =
     match candidates with Some cs -> cs | None -> default_exponent_window
   in
@@ -384,9 +383,7 @@ type mantissa_result = {
   pruned : Dema.scored list;
 }
 
-let extend_prune_multi ?ctx ?jobs ?backend ~top ~candidates ~extend_stage ~prune_stage
-    views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
+let extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views =
   let obs = c.Ctx.obs in
   let traces, idx = combine views in
   let extend_parts = spread_parts views extend_stage in
@@ -433,45 +430,39 @@ let high_stages ~d = function
       ( [ (Fpr.Mant_w01, p_hd_w01 ~d); (Fpr.Mant_w11, p_hd_w11 ~d) ],
         [ (Fpr.Mant_z1, p_hd_z1 ~d); (Fpr.Mant_zhigh, p_hd_zhigh ~d) ] )
 
-let mantissa_low_multi ?ctx ?jobs ?backend ?leakage ?(top = 16)
-    ~candidates views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let mantissa_low_multi ?ctx ?(top = 16) ~candidates views =
+  let c = Ctx.or_default ctx in
   Obs.span c.Ctx.obs "recover.mantissa_low"
     ~fields:[ ("part", Obs.Str "low25"); ("views", Obs.Int (List.length views)) ]
     (fun () ->
-      let extend_stage, prune_stage = low_stages leakage in
+      let extend_stage, prune_stage = low_stages c.Ctx.leakage in
       extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
 
-let attack_mantissa_low ?ctx ?jobs ?backend ?leakage ?top ~candidates v =
-  mantissa_low_multi ?ctx ?jobs ?backend ?leakage ?top ~candidates [ v ]
+let attack_mantissa_low ?ctx ?top ~candidates v =
+  mantissa_low_multi ?ctx ?top ~candidates [ v ]
 
-let attack_mantissa_low_naive ?ctx ?jobs ?backend ?(top = 16) ~candidates v =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  Dema.rank ~ctx:c ~traces:v.traces
+let attack_mantissa_low_naive ?ctx ?(top = 16) ~candidates v =
+  Dema.rank ?ctx ~traces:v.traces
     ~parts:[ (sample Fpr.Mant_w00, p_w00); (sample Fpr.Mant_w10, p_w10) ]
     ~known:v.known ~top candidates
 
-let mantissa_high_multi ?ctx ?jobs ?backend ?leakage ?(top = 16)
-    ~candidates ~d views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let mantissa_high_multi ?ctx ?(top = 16) ~candidates ~d views =
+  let c = Ctx.or_default ctx in
   Obs.span c.Ctx.obs "recover.mantissa_high"
     ~fields:[ ("part", Obs.Str "high28"); ("views", Obs.Int (List.length views)) ]
     (fun () ->
-      let extend_stage, prune_stage = high_stages ~d leakage in
+      let extend_stage, prune_stage = high_stages ~d c.Ctx.leakage in
       extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
 
-let attack_mantissa_high ?ctx ?jobs ?backend ?leakage ?top ~candidates ~d v =
-  mantissa_high_multi ?ctx ?jobs ?backend ?leakage ?top ~candidates ~d [ v ]
+let attack_mantissa_high ?ctx ?top ~candidates ~d v =
+  mantissa_high_multi ?ctx ?top ~candidates ~d [ v ]
 
 type strategy =
   | Exhaustive
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
 
-let coefficient ?ctx ?jobs ?backend ?leakage ~strategy views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let coefficient ?ctx ~strategy views =
+  let c = Ctx.or_default ctx in
   Obs.span c.Ctx.obs "recover.coefficient"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
@@ -490,12 +481,11 @@ let coefficient ?ctx ?jobs ?backend ?leakage ~strategy views =
   in
   (* keep enough extend survivors that the truth cannot be displaced by
      its own alias class (up to ~25 exact ties for small D) plus noise *)
-  let low = mantissa_low_multi ~ctx:c ~leakage ~top:32 ~candidates:low_cands views in
+  let low = mantissa_low_multi ~ctx:c ~top:32 ~candidates:low_cands views in
   let high =
-    mantissa_high_multi ~ctx:c ~leakage ~top:32 ~candidates:high_cands
-      ~d:low.winner views
+    mantissa_high_multi ~ctx:c ~top:32 ~candidates:high_cands ~d:low.winner views
   in
   let xu = (high.winner lsl 25) lor low.winner in
   let mant = xu land ((1 lsl 52) - 1) in
-  let s, e, _ = sign_exponent_multi ~ctx:c ~leakage ~mant views in
+  let s, e, _ = sign_exponent_multi ~ctx:c ~mant views in
   Fpr.make ~sign:s ~exp:e ~mant

@@ -57,17 +57,15 @@ val m_result_hi : mant:int -> sign:int -> int -> Fpr.t -> int
     shared write-back register, so sample j leaks
     [HW(v_(j-1) lxor v_j)]).  Each is the XOR of the two values
     co-resident on the bus at that sample; the models stay exact, so the
-    HD attack keeps the full correlation of the HW one.  Select them
-    through the [?leakage] argument of the component attacks below. *)
+    HD attack keeps the full correlation of the HW one.  The component
+    attacks below select them from [ctx.Ctx.leakage]. *)
 
 type leakage = [ `Hw | `Hd ]
 (** Which device model the hypothesis models are matched against:
     the idealized Hamming-weight probe (the default, matching
     [Leakage.default_emitter]) or bus Hamming-distance
-    ([Leakage.hd_emitter]).  Every component attack defaults this from
-    [ctx.Ctx.leakage] (itself [`Hw] by default); the [?leakage]
-    optionals below are deprecated per-call overrides kept for
-    compatibility. *)
+    ([Leakage.hd_emitter]).  Every component attack reads it from
+    [ctx.Ctx.leakage] ([`Hw] by default). *)
 
 val hd_w10 : int -> Fpr.t -> int
 (** guess = D; predicted (D x B) xor (D x A) — the w10-sample bus
@@ -150,8 +148,6 @@ val attack_sign : view -> int * float
 
 val attack_sign_exponent :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?leakage:leakage ->
   ?exp_candidates:int Seq.t ->
   mant:int ->
   view ->
@@ -160,8 +156,6 @@ val attack_sign_exponent :
 
 val sign_exponent_multi :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?leakage:leakage ->
   ?exp_candidates:int Seq.t ->
   mant:int ->
   view list ->
@@ -174,7 +168,6 @@ val sign_exponent_multi :
 
 val attack_exponent :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?candidates:int Seq.t ->
   mant:int ->
   sign:int ->
@@ -198,9 +191,6 @@ type mantissa_result = {
 
 val mantissa_low_multi :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
   view list ->
@@ -208,22 +198,17 @@ val mantissa_low_multi :
 
 val attack_mantissa_low :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
   view ->
   mantissa_result
 (** Extend on the partial products D x B and D x A, prune on the
     intermediate addition z1a.  Candidates are 25-bit values.  Under
-    [~leakage:`Hd] the stage swaps to the matched bus-transition models
+    [`Hd] leakage the stage swaps to the matched bus-transition models
     (extend on the w10 transition, prune on the z1a transition). *)
 
 val attack_mantissa_low_naive :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?top:int ->
   candidates:int Seq.t ->
   view ->
@@ -233,9 +218,6 @@ val attack_mantissa_low_naive :
 
 val mantissa_high_multi :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
   d:int ->
@@ -244,9 +226,6 @@ val mantissa_high_multi :
 
 val attack_mantissa_high :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
   d:int ->
@@ -265,19 +244,13 @@ type strategy =
 
 val coefficient :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?leakage:leakage ->
   strategy:strategy ->
   view list ->
   Fpr.t
 (** Run all component attacks jointly over the given windows (typically
-    {!views_for}) and reassemble the 64-bit value.  [?jobs] (here and on
-    every ranking entry point above) sets the worker-domain count of the
-    underlying candidate sweeps — see {!Dema}; the output is
-    bit-identical at every [jobs].  [?backend] (on the mantissa rankings)
-    selects the scalar or batched Pearson kernel — also bit-identical,
-    see {!Stats.Pearson.Batch}.  [?ctx] ({!Ctx.t}) bundles both plus the
-    observability context; explicit [?jobs]/[?backend] override its
-    fields, and every ranking stays bit-identical with any sink
-    attached. *)
+    {!views_for}) and reassemble the 64-bit value.  [?ctx] ({!Ctx.t},
+    here and on every ranking entry point above) sets the worker-domain
+    count of the underlying candidate sweeps (see {!Dema}), the
+    distinguisher scoring the mantissa rankings, the leakage family and
+    the observability context; the output is bit-identical at every
+    [jobs], under both Pearson kernels and with any sink attached. *)

@@ -63,11 +63,8 @@ module type S = sig
 
   val recover_store :
     ?ctx:Ctx.t ->
-    ?leakage:leakage ->
     ?stop:Sequential.Decision.spec ->
     ?max_traces:int ->
-    ?on_corrupt:[ `Fail | `Skip ] ->
-    ?prefetch:bool ->
     dir:string ->
     Tracestore.Reader.t ->
     outcome
@@ -277,10 +274,10 @@ module Falcon = struct
     Recover.Eval_sampled
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
 
-  let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
-      ~dir reader =
+  let recover_store ?ctx ?stop ?max_traces ~dir reader =
+    let c = Ctx.or_default ctx in
     (match stop with
-    | Some _ when not (supports_stop leakage) ->
+    | Some _ when not (supports_stop c.Ctx.leakage) ->
         invalid_arg
           "Target.falcon: ?stop is not available under `Hd leakage (no d-free \
            Hamming-distance decision sweep)"
@@ -289,8 +286,7 @@ module Falcon = struct
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
     let res =
-      Fullkey.recover_key_store ?ctx ?on_corrupt ?prefetch ~leakage ?stop
-        ?max_traces
+      Fullkey.recover_key_store ~ctx:c ?stop ?max_traces
         ~stop_report:(fun s -> summary := Some s)
         ~reader ~h:pk.h (crack_strategy truth_sk)
     in
@@ -437,8 +433,8 @@ module Hqc_target = struct
     check_n n;
     Hqc.decode_secret s
 
-  let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
-      ~dir reader =
+  let recover_store ?ctx ?stop ?max_traces ~dir reader =
+    let c = Ctx.or_default ctx in
     let n = Hqc.Params.n_bits in
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in
@@ -451,7 +447,7 @@ module Hqc_target = struct
     for j = 0 to w - 1 do
       let prev = Array.sub winners 0 j in
       let cands = Array.of_seq (guess_space ~n ~unit_index:j ~prev) in
-      let parts = parts ~leakage ~n ~unit_index:j ~prev in
+      let parts = parts ~leakage:c.Ctx.leakage ~n ~unit_index:j ~prev in
       if Array.length cands = 0 then
         failwith "Target.hqc: empty candidate set (corrupt recovered prefix)"
       else if Array.length cands = 1 then
@@ -462,7 +458,7 @@ module Hqc_target = struct
         match stop with
         | None ->
             let ranking =
-              Dema.Stream.rank ?ctx ?on_corrupt ?prefetch ~codec reader ~parts
+              Dema.Stream.rank ~ctx:c ~codec reader ~parts
                 ~known:known_of_trace ~top:1 (Array.to_seq cands)
             in
             (match ranking with
@@ -471,7 +467,7 @@ module Hqc_target = struct
             used.(j) <- budget
         | Some spec ->
             let r =
-              Dema.Stream.rank_until ?ctx ?on_corrupt ?prefetch ~codec ~spec
+              Dema.Stream.rank_until ~ctx:c ~codec ~spec
                 ?max_traces reader ~parts ~known:known_of_trace ~top:1
                 (Array.to_seq cands)
             in
@@ -532,12 +528,11 @@ let find name =
    twice through the target's profiling plan (the [Profile.train]
    two-pass contract) classing each observation by the Hamming weight
    of its true intermediate.  Shards are pulled strictly in order on
-   the owner domain, so the store is bit-identical across jobs and
-   prefetch. *)
+   the owner domain, so the store is bit-identical across jobs. *)
 
-let profile ?ctx ?leakage ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
-  let c = Ctx.resolve ?ctx () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let profile ?ctx ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
+  let c = Ctx.or_default ctx in
+  let leakage = c.Ctx.leakage in
   let meta = Tracestore.Reader.meta reader in
   T.codec.Dema.Stream.check meta;
   let n = meta.Tracestore.n in
@@ -557,10 +552,7 @@ let profile ?ctx ?leakage ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
     }
   in
   let feed add =
-    let fd =
-      Dema.Stream.shard_feed ~obs:c.Ctx.obs ~on_corrupt:c.Ctx.on_corrupt
-        ~prefetch:c.Ctx.prefetch ~codec:T.codec ?max_traces reader
-    in
+    let fd = Dema.Stream.shard_feed ~ctx:c ~codec:T.codec ?max_traces reader in
     Fun.protect ~finally:(fun () -> fd.Dema.Stream.close ()) @@ fun () ->
     let rec loop () =
       match fd.Dema.Stream.next () with

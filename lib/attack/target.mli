@@ -36,7 +36,7 @@ type outcome = {
           sidecar *)
   witness : string;
       (** canonical encoding of the recovered key material — bit-exact
-          comparable across [jobs] x backend x prefetch x leakage *)
+          comparable across [jobs] x backend x leakage *)
   units : int;  (** attacked units (2n for FALCON, weight for HQC) *)
   traces : int;  (** campaign traces consumed (max over units) *)
   stop : Sequential.Campaign.summary option;
@@ -151,20 +151,19 @@ module type S = sig
 
   val recover_store :
     ?ctx:Ctx.t ->
-    ?leakage:leakage ->
     ?stop:Sequential.Decision.spec ->
     ?max_traces:int ->
-    ?on_corrupt:[ `Fail | `Skip ] ->
-    ?prefetch:bool ->
     dir:string ->
     Tracestore.Reader.t ->
     outcome
   (** Recover the secret from a recorded campaign ([dir] locates the
-      sidecars; the reader streams the traces).  Deterministic: the
-      [witness] (and stop points, with [?stop]) are bit-identical
-      across [jobs], backends and prefetch.  Raises [Invalid_argument]
-      when [?stop] is passed but [supports_stop leakage] is false, and
-      [Failure] on missing/corrupt sidecars. *)
+      sidecars; the reader streams the traces) under the context's
+      leakage family, distinguisher and corrupt-shard policy.
+      Deterministic: the [witness] (and stop points, with [?stop]) are
+      bit-identical across [jobs] and backends.  Raises
+      [Invalid_argument] when [?stop] is passed but
+      [supports_stop ctx.leakage] is false, and [Failure] on
+      missing/corrupt sidecars. *)
 end
 
 module Falcon : S with type known = Leakage.trace
@@ -191,7 +190,6 @@ val find : string -> (module S) option
 
 val profile :
   ?ctx:Ctx.t ->
-  ?leakage:leakage ->
   ?npoi:int ->
   ?ndim:int ->
   ?max_traces:int ->
@@ -204,8 +202,7 @@ val profile :
     pooled covariance — see {!Profile.train}) over the target's
     {!S.profile_parts} plan, classing each observation by the Hamming
     weight of its true intermediate.  Scheme-generic — the same
-    function trains FALCON and HQC stores.  [?leakage] defaults from
+    function trains FALCON and HQC stores.  The plan follows
     [ctx.Ctx.leakage]; [?npoi]/[?ndim] override
     {!Profile.default_spec}.  Deterministic: shard order is the trace
-    order, so the store is bit-identical across [jobs] and
-    prefetch. *)
+    order, so the store is bit-identical across [jobs]. *)

@@ -247,9 +247,9 @@ val load : string -> trace array
     checked against the bytes remaining before anything is allocated,
     and the payload CRC32 is verified, so truncation or corruption
     yields a descriptive message naming the offending field and its
-    byte offset — never [End_of_file] or [Out_of_memory].  Files in the
-    pre-store "FDTRACE1" format are read through a legacy shim (same
-    validation, no CRC). *)
+    byte offset — never [End_of_file] or [Out_of_memory].  Only the
+    shard format {!save} writes is read; any other file, such as one in
+    the pre-store "FDTRACE1" format, fails with [Failure]. *)
 
 (** {1 NTT traces (section V-C comparison)} *)
 

@@ -96,10 +96,11 @@ module Batch : sig
   type backend = Scalar | Batched
 
   val default_backend : unit -> backend
-  (** Process-wide kernel choice used when a [?backend] argument is
-      omitted.  Initialised from the [FD_PEARSON] environment variable
-      ([scalar] selects the historical per-guess path; anything else,
-      including unset, selects the batched kernel). *)
+  (** Process-wide kernel choice: the Pearson kernel of the default
+      attack context when none is given.  Initialised from the
+      [FD_PEARSON] environment variable ([scalar] selects the scalar
+      reference path; anything else, including unset, selects the
+      batched kernel). *)
 
   val set_default_backend : backend -> unit
 

@@ -2,7 +2,7 @@
    emitters must reproduce the historical capture bitwise when every
    knob is off, the jitter knob must be undoable by Align (exactly, on
    full-width traces), and the whole pipeline must stay deterministic
-   across jobs and prefetch settings. *)
+   across jobs. *)
 
 let n = 8
 let sigma = 0.4
@@ -208,9 +208,11 @@ let test_realign_store_deterministic () =
       let oc = open_out (Filename.concat src "public.key") in
       output_string oc "sidecar";
       close_out oc;
-      let variant (jobs, prefetch) =
-        let dst = Filename.concat tmp (Printf.sprintf "dst%d%b" jobs prefetch) in
-        let st = Align.realign_store ~jobs ~prefetch ~max_shift:2 ~src ~dst () in
+      let variant jobs =
+        let dst = Filename.concat tmp (Printf.sprintf "dst%d" jobs) in
+        let st =
+          Align.realign_store ~ctx:(Attack.Ctx.make ~jobs ()) ~max_shift:2 ~src ~dst ()
+        in
         let r = Tracestore.Reader.open_store dst in
         let records = Array.of_seq (Tracestore.Reader.to_seq r) in
         Alcotest.(check bool)
@@ -218,7 +220,7 @@ let test_realign_store_deterministic () =
           (Sys.file_exists (Filename.concat dst "public.key"));
         (st, records)
       in
-      match List.map variant [ (1, false); (2, true); (4, false) ] with
+      match List.map variant [ 1; 2; 4 ] with
       | first :: rest ->
           List.iteri
             (fun i o ->
@@ -245,7 +247,9 @@ let test_hd_fullkey_after_realign () =
   in
   let attack traces =
     let res =
-      Attack.Fullkey.recover_key ~jobs:2 ~leakage:`Hd ~traces
+      Attack.Fullkey.recover_key
+        ~ctx:(Attack.Ctx.make ~jobs:2 ~leakage:`Hd ())
+        ~traces
         ~h:pk.Falcon.Scheme.h strategy
     in
     ( Attack.Fullkey.count_correct res.Attack.Fullkey.f_fft
@@ -256,7 +260,11 @@ let test_hd_fullkey_after_realign () =
   Alcotest.(check bool) "jitter degrades the unaligned attack" true
     (correct_un < 2 * n);
   let rows = Array.map (fun t -> t.Leakage.samples) jittered in
-  let rows, _ = Align.realign_rows ~jobs:2 ~max_shift:2 ~fill:model.Leakage.baseline rows in
+  let rows, _ =
+    Align.realign_rows
+      ~ctx:(Attack.Ctx.make ~jobs:2 ())
+      ~max_shift:2 ~fill:model.Leakage.baseline rows
+  in
   let realigned =
     Array.map2 (fun t samples -> { t with Leakage.samples = samples }) jittered rows
   in
@@ -295,7 +303,7 @@ let test_hd_stop_rejected () =
           { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 8; truth }
       in
       match
-        Attack.Fullkey.recover_key_store ~leakage:`Hd
+        Attack.Fullkey.recover_key_store ~ctx:(Attack.Ctx.make ~leakage:`Hd ())
           ~stop:(Sequential.Decision.spec ~alpha:1e-3 ()) ~reader
           ~h:pk.Falcon.Scheme.h strategy
       with
@@ -345,7 +353,7 @@ let test_realign_entries () =
 
 let test_metrics_hd_realign_condition () =
   let run condition =
-    Assess.Metrics.run ~jobs:2 ~condition
+    Assess.Metrics.run ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~condition
       {
         Assess.Metrics.defense = `None;
         noise = sigma;
@@ -395,7 +403,7 @@ let suite =
       test_realign_of_aligned_noop;
     Alcotest.test_case "realign recovers known shifts" `Quick
       test_realign_recovers_known_shifts;
-    Alcotest.test_case "realign_store deterministic across jobs x prefetch" `Quick
+    Alcotest.test_case "realign_store deterministic across jobs" `Quick
       test_realign_store_deterministic;
     Alcotest.test_case "hd full key after realignment" `Slow
       test_hd_fullkey_after_realign;

@@ -229,9 +229,9 @@ let test_load_bitflipped_payload_rejected () =
   check_load_failure "bit-flipped payload" path
     ~mentions:[ "CRC mismatch"; "corruption" ]
 
-let test_load_legacy_format () =
-  (* a pre-Tracestore "FDTRACE1" file (no CRC, OCaml binary ints) must
-     still load through the legacy shim *)
+let test_load_legacy_rejected () =
+  (* a pre-Tracestore "FDTRACE1" file (no CRC, OCaml binary ints) is not
+     a trace file any more: it must fail cleanly with [Failure] *)
   let sk = Lazy.force sk16 in
   let traces = Leakage.capture Leakage.default_model ~seed:35 sk ~count:2 in
   let path = Filename.temp_file "fd_legacy" ".bin" in
@@ -260,13 +260,11 @@ let test_load_legacy_format () =
             t.samples)
         traces;
       close_out oc;
-      let back = Leakage.load path in
-      Alcotest.(check int) "count" 2 (Array.length back);
-      Array.iteri
-        (fun i (t : Leakage.trace) ->
-          Alcotest.(check bool) "samples bit-exact" true (t.samples = traces.(i).samples);
-          Alcotest.(check bool) "signature" true (t.signature = traces.(i).signature))
-        back)
+      match Leakage.load path with
+      | _ -> Alcotest.fail "FDTRACE1 file accepted"
+      | exception Failure _ -> ()
+      | exception e ->
+          Alcotest.failf "FDTRACE1 file raised %s, want Failure" (Printexc.to_string e))
 
 let suite =
   suite
@@ -278,5 +276,5 @@ let suite =
         test_load_bitflipped_count_rejected;
       Alcotest.test_case "bit-flipped payload fails CRC" `Quick
         test_load_bitflipped_payload_rejected;
-      Alcotest.test_case "legacy FDTRACE1 shim" `Quick test_load_legacy_format;
+      Alcotest.test_case "legacy FDTRACE1 rejected" `Quick test_load_legacy_rejected;
     ]

@@ -183,9 +183,9 @@ let sweep check =
                     Obs.make ~clock:(fake_ns ())
                       (Obs.Jsonl.to_buffer (Buffer.create 4096))
               in
-              check (Attack.Ctx.make ~jobs ~backend ~obs ()))
+              check (Attack.Ctx.make ~jobs ~distinguisher:backend ~obs ()))
             [ `Null; `Jsonl ])
-        [ Stats.Pearson.Batch.Scalar; Stats.Pearson.Batch.Batched ])
+        [ Attack.Distinguisher.Pearson_scalar; Attack.Distinguisher.Pearson_batched ])
     [ 1; 4 ]
 
 let test_transparency_recover () =

@@ -264,6 +264,15 @@ let test_allocation_canary () =
 (* ---- end-to-end pins: scalar and batched paths through the real
    attack entry points must agree exactly, sequentially and parallel ---- *)
 
+(* a context selecting the Pearson kernel [backend] *)
+let pearson_ctx ~jobs backend =
+  Attack.Ctx.make ~jobs
+    ~distinguisher:
+      (match backend with
+      | Stats.Pearson.Batch.Scalar -> Attack.Distinguisher.Pearson_scalar
+      | Stats.Pearson.Batch.Batched -> Attack.Distinguisher.Pearson_batched)
+    ()
+
 let scored_eq (a : Attack.Dema.scored) (b : Attack.Dema.scored) =
   a.guess = b.guess && bits_eq a.corr b.corr
 
@@ -284,7 +293,7 @@ let test_extend_prune_backend_parity () =
       ~width:25 ~truth:d_true ~decoys:700 ()
   in
   let run ~jobs ~backend =
-    Attack.Recover.attack_mantissa_low ~jobs ~backend
+    Attack.Recover.attack_mantissa_low ~ctx:(pearson_ctx ~jobs backend)
       ~candidates:(Array.to_seq candidates) v
   in
   let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar in
@@ -346,7 +355,7 @@ let test_stream_rank_backend_parity () =
         ]
       in
       let run ~jobs ~backend =
-        Attack.Dema.Stream.rank ~jobs ~backend reader ~parts
+        Attack.Dema.Stream.rank ~ctx:(pearson_ctx ~jobs backend) reader ~parts
           ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
           ~top:6 (Array.to_seq candidates)
       in

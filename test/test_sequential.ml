@@ -2,8 +2,8 @@
    (Fisher z oddness/monotonicity, gap antisymmetry, alpha spending),
    tester/schedule unit tests, and the determinism contract of the
    adaptive sweeps — same store + seed + alpha must stop at the same
-   point with the same winner at every jobs value, backend and prefetch
-   setting, and an exhausted adaptive sweep must equal the fixed-budget
+   point with the same winner at every jobs value and backend, and an
+   exhausted adaptive sweep must equal the fixed-budget
    ranking bitwise. *)
 
 let m25 = (1 lsl 25) - 1
@@ -186,13 +186,23 @@ let test_rank_until_exhausted_equals_rank () =
   Alcotest.(check bool) "exhausted adaptive ranking = fixed ranking, bitwise" true
     (u.Attack.Dema.ranking = fixed)
 
+(* a context selecting the Pearson kernel [backend] *)
+let pearson_ctx ~jobs backend =
+  Attack.Ctx.make ~jobs
+    ~distinguisher:
+      (match backend with
+      | Stats.Pearson.Batch.Scalar -> Attack.Distinguisher.Pearson_scalar
+      | Stats.Pearson.Batch.Batched -> Attack.Distinguisher.Pearson_batched)
+    ()
+
 let test_rank_until_deterministic () =
   let traces, known = synth_view ~count:300 ~secret:41 ~sigma:0.5 in
   let candidates = Array.init 24 (fun i -> 30 + i) in
   let parts = [ (0, synth_model) ] in
   let spec = Sequential.Decision.spec ~alpha:1e-3 ~min_traces:8 () in
   let run ~jobs ~backend =
-    Attack.Dema.rank_until ~jobs ~backend ~spec ~batch:32 ~traces ~parts ~known
+    Attack.Dema.rank_until ~ctx:(pearson_ctx ~jobs backend) ~spec ~batch:32 ~traces
+      ~parts ~known
       ~top:8 (Array.to_seq candidates)
   in
   let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar in
@@ -275,27 +285,27 @@ let test_stream_rank_until () =
   in
   Alcotest.(check bool) "exhausted streaming adaptive = Stream.rank, bitwise" true
     (u.Attack.Dema.ranking = fixed);
-  (* a stopping configuration must be bit-identical across jobs,
-     backends and prefetch *)
+  (* a stopping configuration must be bit-identical across jobs and
+     backends *)
   let spec = Sequential.Decision.spec ~alpha:1e-3 ~min_traces:8 () in
-  let run ~jobs ~backend ~prefetch =
-    Attack.Dema.Stream.rank_until ~jobs ~backend ~prefetch ~spec reader
+  let run ~jobs ~backend =
+    Attack.Dema.Stream.rank_until ~ctx:(pearson_ctx ~jobs backend) ~spec reader
       ~parts:low_parts ~known ~top:8 (Array.to_seq candidates)
   in
-  let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar ~prefetch:false in
+  let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar in
   (match reference.Attack.Dema.stop with
   | Some s ->
       Alcotest.(check int) "streaming stop recovers the truth" d_true
         s.Sequential.Decision.winner
   | None -> Alcotest.fail "low-noise streaming campaign did not stop");
   List.iter
-    (fun (jobs, backend, prefetch) ->
-      if run ~jobs ~backend ~prefetch <> reference then
+    (fun (jobs, backend) ->
+      if run ~jobs ~backend <> reference then
         Alcotest.failf "streaming until record diverged at jobs %d" jobs)
     [
-      (2, Stats.Pearson.Batch.Scalar, true);
-      (2, Stats.Pearson.Batch.Batched, true);
-      (4, Stats.Pearson.Batch.Batched, false);
+      (2, Stats.Pearson.Batch.Scalar);
+      (2, Stats.Pearson.Batch.Batched);
+      (4, Stats.Pearson.Batch.Batched);
     ];
   (* max_traces caps the budget the saved-trace accounting is charged
      against *)
@@ -313,11 +323,13 @@ let test_fullkey_adaptive () =
     Attack.Recover.Eval_sampled
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 128; truth }
   in
-  let fixed = Attack.Fullkey.recover_f_fft_store ~jobs:2 ~reader strategy in
+  let fixed =
+    Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~reader strategy
+  in
   let spec = Sequential.Decision.spec ~alpha:1e-4 ~min_traces:8 () in
   let summary = ref None in
   let adaptive =
-    Attack.Fullkey.recover_f_fft_store ~jobs:2 ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~stop:spec
       ~stop_report:(fun s -> summary := Some s)
       ~reader strategy
   in
@@ -334,7 +346,7 @@ let test_fullkey_adaptive () =
   | None -> Alcotest.fail "stop_report not called");
   let summary1 = ref None in
   let adaptive1 =
-    Attack.Fullkey.recover_f_fft_store ~jobs:1 ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~stop:spec
       ~stop_report:(fun s -> summary1 := Some s)
       ~reader strategy
   in

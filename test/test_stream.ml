@@ -138,24 +138,49 @@ let test_stream_rank_bit_identical () =
   in
   let rows = Array.map (fun (t : Leakage.trace) -> t.samples) traces in
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
-  let mem jobs =
-    Attack.Dema.rank ~jobs ~traces:rows ~parts ~known:ks ~top:5
-      (Array.to_seq candidates)
+  (* a template store trained on this very campaign (known key) covers
+     both ranked samples: coefficient 0, multiplication 0, window base 0 *)
+  let profiled =
+    Attack.Distinguisher.Profiled
+      (Attack.Profile.train
+         (Attack.Profile.default_spec ~window:Leakage.events_per_mul)
+         ~targets:(Array.of_list (List.map fst parts))
+         (fun add ->
+           Array.iteri
+             (fun i (t : Leakage.trace) ->
+               List.iter
+                 (fun (s, m) ->
+                   add ~base:0 ~target:s
+                     ~cls:(Bitops.popcount (Attack.Hypothesis.Model.apply m d_true ks.(i)))
+                     t.samples)
+                 parts)
+             traces))
   in
-  let streamed jobs =
-    Attack.Dema.Stream.rank ~jobs reader ~parts
-      ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
-      ~top:5 (Array.to_seq candidates)
-  in
-  let reference = mem 1 in
   List.iter
-    (fun jobs ->
+    (fun sel ->
+      let ctx jobs = Attack.Ctx.make ~jobs ~distinguisher:sel () in
+      let mem jobs =
+        Attack.Dema.rank ~ctx:(ctx jobs) ~traces:rows ~parts ~known:ks ~top:5
+          (Array.to_seq candidates)
+      in
+      let streamed jobs =
+        Attack.Dema.Stream.rank ~ctx:(ctx jobs) reader ~parts
+          ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
+          ~top:5 (Array.to_seq candidates)
+      in
+      let name = Attack.Distinguisher.name sel in
+      let reference = mem 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: stream rank == memory rank at -j %d" name jobs)
+            true
+            (streamed jobs = reference))
+        [ 1; 2; 3 ];
       Alcotest.(check bool)
-        (Printf.sprintf "stream rank == memory rank at -j %d" jobs)
-        true
-        (streamed jobs = reference))
-    [ 1; 2; 3 ];
-  Alcotest.(check bool) "memory rank itself jobs-invariant" true (mem 2 = reference)
+        (name ^ ": memory rank itself jobs-invariant")
+        true (mem 2 = reference))
+    [ Attack.Distinguisher.default (); profiled ]
 
 let test_stream_evolution_matches_prefix_rescan () =
   with_campaign @@ fun sk traces reader ->
@@ -163,7 +188,7 @@ let test_stream_evolution_matches_prefix_rescan () =
   let rows = Array.map (fun (t : Leakage.trace) -> t.samples) traces in
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
   let streamed jobs =
-    Attack.Dema.Stream.evolution ~jobs reader
+    Attack.Dema.Stream.evolution ~ctx:(Attack.Ctx.make ~jobs ()) reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
       ~model:Attack.Recover.m_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
@@ -203,18 +228,23 @@ let same_fft (a : Fft.t) (b : Fft.t) = a.Fft.re = b.Fft.re && a.Fft.im = b.Fft.i
 let test_fullkey_store_matches_memory () =
   with_campaign @@ fun sk traces reader ->
   let strategy = oracle_strategy sk in
-  let mem = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces ~n:16 strategy in
+  let ctx jobs = Attack.Ctx.make ~jobs () in
+  let mem = Attack.Fullkey.recover_f_fft ~ctx:(ctx 1) ~traces ~n:16 strategy in
   List.iter
-    (fun (jobs, prefetch) ->
-      let st = Attack.Fullkey.recover_f_fft_store ~jobs ~prefetch ~reader strategy in
+    (fun jobs ->
+      let st = Attack.Fullkey.recover_f_fft_store ~ctx:(ctx jobs) ~reader strategy in
       Alcotest.(check bool)
-        (Printf.sprintf "store FFT(f) == memory FFT(f) at -j %d, prefetch %b" jobs
-           prefetch)
+        (Printf.sprintf "store FFT(f) == memory FFT(f) at -j %d" jobs)
         true (same_fft st mem))
-    [ (1, true); (1, false); (2, true); (2, false); (4, true); (4, false) ];
+    [ 1; 2; 4 ];
   (* a cap inside shard 2 keeps exactly the first 20 traces *)
-  let capped = Attack.Fullkey.recover_f_fft_store ~jobs:2 ~max_traces:20 ~reader strategy in
-  let first = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces:(Array.sub traces 0 20) ~n:16 strategy in
+  let capped =
+    Attack.Fullkey.recover_f_fft_store ~ctx:(ctx 2) ~max_traces:20 ~reader strategy
+  in
+  let first =
+    Attack.Fullkey.recover_f_fft ~ctx:(ctx 1) ~traces:(Array.sub traces 0 20) ~n:16
+      strategy
+  in
   Alcotest.(check bool) "max_traces 20 == memory FFT(f) of the first 20 traces" true
     (same_fft capped first)
 
@@ -318,7 +348,7 @@ let test_stream_rejects_width_mismatch () =
              in
              scan 0))
 
-(* ---- shard-loss, mmap and prefetch robustness ----
+(* ---- shard-loss and mmap robustness ----
 
    Same campaign as [with_campaign], but the directory outlives the
    store creation so individual shard files can be damaged and reopened:
@@ -419,11 +449,11 @@ let test_skip_policy_drops_and_counts () =
   let candidates = candidates_for sk in
   let buf = Buffer.create 256 in
   let ctx =
-    Attack.Ctx.make ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) ()
+    Attack.Ctx.make ~on_corrupt:`Skip ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) ()
   in
   let reader = Tracestore.Reader.open_store ~policy:`Skip dir in
   let streamed =
-    Attack.Dema.Stream.rank ~ctx ~on_corrupt:`Skip reader ~parts:(rank_parts ())
+    Attack.Dema.Stream.rank ~ctx reader ~parts:(rank_parts ())
       ~known:known_re0 ~top:5 (Array.to_seq candidates)
   in
   (* dropping shard 1 leaves traces 0..7 and 16..29: the ranking must be
@@ -456,7 +486,8 @@ let test_fullkey_corrupt_shard () =
   flip_byte (Filename.concat dir (Tracestore.shard_name 1)) 40;
   let strategy = oracle_strategy sk in
   (match
-     Attack.Fullkey.recover_f_fft_store ~jobs:2
+     Attack.Fullkey.recover_f_fft_store
+       ~ctx:(Attack.Ctx.make ~jobs:2 ())
        ~reader:(Tracestore.Reader.open_store dir)
        strategy
    with
@@ -464,7 +495,8 @@ let test_fullkey_corrupt_shard () =
   | exception Failure msg ->
       Alcotest.(check bool) "error names shard 1" true (contains_frag msg "shard 1"));
   let skipped =
-    Attack.Fullkey.recover_f_fft_store ~jobs:2 ~on_corrupt:`Skip
+    Attack.Fullkey.recover_f_fft_store
+      ~ctx:(Attack.Ctx.make ~jobs:2 ~on_corrupt:`Skip ())
       ~reader:(Tracestore.Reader.open_store ~policy:`Skip dir)
       strategy
   in
@@ -472,7 +504,10 @@ let test_fullkey_corrupt_shard () =
     Array.of_list
       (List.filteri (fun i _ -> i < 8 || i >= 16) (Array.to_list traces))
   in
-  let mem = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces:kept ~n:16 strategy in
+  let mem =
+    Attack.Fullkey.recover_f_fft ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~traces:kept ~n:16
+      strategy
+  in
   Alcotest.(check bool) "skip recovery == memory recovery of the surviving traces"
     true (same_fft skipped mem)
 
@@ -521,23 +556,39 @@ let test_mmap_matches_read () =
   in
   Alcotest.(check bool) "mmap rank == read rank" true (rank mmap = rank read)
 
-let test_prefetch_parity () =
+(* A campaign left with no trace — every shard dropped under [`Skip],
+   or an empty in-memory trace set — has no defined score: every
+   ranking entry point fails instead of returning NaN scores. *)
+let test_zero_traces_fail () =
   with_campaign_dir @@ fun sk _traces dir ->
+  for i = 0 to 3 do
+    flip_byte (Filename.concat dir (Tracestore.shard_name i)) 40
+  done;
   let candidates = candidates_for sk in
-  let reader = Tracestore.Reader.open_store dir in
-  let rank ~prefetch jobs =
-    Attack.Dema.Stream.rank ~jobs ~prefetch reader ~parts:(rank_parts ())
-      ~known:known_re0 ~top:5 (Array.to_seq candidates)
+  let ctx = Attack.Ctx.make ~on_corrupt:`Skip () in
+  let reader () = Tracestore.Reader.open_store ~policy:`Skip dir in
+  let fails what f =
+    match f () with
+    | _ -> Alcotest.failf "%s scored zero traces" what
+    | exception Failure msg ->
+        Alcotest.(check bool) (what ^ ": message says no traces") true
+          (contains_frag msg "no traces")
   in
-  let reference = rank ~prefetch:false 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "prefetch on == off at -j %d" jobs)
-        true
-        (rank ~prefetch:true jobs = reference
-        && rank ~prefetch:false jobs = reference))
-    [ 1; 2; 4; 8 ]
+  fails "Stream.rank" (fun () ->
+      Attack.Dema.Stream.rank ~ctx (reader ()) ~parts:(rank_parts ()) ~known:known_re0
+        ~top:5 (Array.to_seq candidates));
+  fails "Stream.rank_until" (fun () ->
+      Attack.Dema.Stream.rank_until ~ctx
+        ~spec:(Sequential.Decision.spec ~alpha:1e-3 ())
+        (reader ()) ~parts:(rank_parts ()) ~known:known_re0 ~top:5
+        (Array.to_seq candidates));
+  fails "Stream.evolution" (fun () ->
+      Attack.Dema.Stream.evolution ~ctx (reader ())
+        ~sample:(Attack.Recover.sample Fpr.Mant_w00)
+        ~model:Attack.Recover.m_w00 ~known:known_re0 ~guess:1);
+  fails "rank" (fun () ->
+      Attack.Dema.rank ~traces:[||] ~parts:(rank_parts ()) ~known:[||] ~top:5
+        (Array.to_seq candidates))
 
 let suite =
   [
@@ -569,6 +620,6 @@ let suite =
       test_fullkey_store_single_pass;
     Alcotest.test_case "mmap and read decode identically" `Quick
       test_mmap_matches_read;
-    Alcotest.test_case "prefetch on/off bit-identical at every jobs" `Quick
-      test_prefetch_parity;
+    Alcotest.test_case "zero traces fail every ranking entry point" `Quick
+      test_zero_traces_fail;
   ]

@@ -1,7 +1,7 @@
 (* Target framework: the differential parity suite (the FALCON attack
    routed through the scheme-agnostic Attack.Target interface must be
    bit-identical to the direct Fullkey/Dema path at every jobs x
-   backend x prefetch x leakage combination), property tests of the
+   backend x leakage combination), property tests of the
    Target contract (enumerator totality, key-reassembly round-trip,
    split-model / plain-model equivalence), and the HQC end-to-end
    determinism, early-stopping and Hd acceptance/rejection pins. *)
@@ -18,23 +18,28 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* the full determinism grid: jobs x backend x prefetch *)
+(* the full determinism grid: jobs x backend *)
 let grid =
   List.concat_map
     (fun jobs ->
-      List.concat_map
-        (fun backend -> [ (jobs, backend, false); (jobs, backend, true) ])
+      List.map
+        (fun backend -> (jobs, backend))
         [ Stats.Pearson.Batch.Scalar; Stats.Pearson.Batch.Batched ])
     [ 1; 2; 4 ]
 
-let cfg_label (jobs, backend, prefetch) =
-  Printf.sprintf "jobs %d %s prefetch %b" jobs
+let cfg_label (jobs, backend) =
+  Printf.sprintf "jobs %d %s" jobs
     (match backend with
     | Stats.Pearson.Batch.Scalar -> "scalar"
     | Stats.Pearson.Batch.Batched -> "batched")
-    prefetch
 
-let ctx_of (jobs, backend, _) = Attack.Ctx.make ~jobs ~backend ()
+let ctx_of ?(leakage = `Hw) (jobs, backend) =
+  Attack.Ctx.make ~jobs ~leakage
+    ~distinguisher:
+      (match backend with
+      | Stats.Pearson.Batch.Scalar -> Attack.Distinguisher.Pearson_scalar
+      | Stats.Pearson.Batch.Batched -> Attack.Distinguisher.Pearson_batched)
+    ()
 
 (* {2 FALCON differential parity} *)
 
@@ -71,7 +76,10 @@ let golden dir ~leakage =
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
   in
   let reader = Tracestore.Reader.open_store dir in
-  (Attack.Fullkey.recover_key_store ~leakage ~reader ~h:pk.h strategy, kp)
+  ( Attack.Fullkey.recover_key_store
+      ~ctx:(Attack.Ctx.make ~leakage ())
+      ~reader ~h:pk.h strategy,
+    kp )
 
 (* the golden witness encoding — 2n recovered FFT(f) bit patterns, hex,
    re/im interleaved in unit order, same layout the Target outcome
@@ -92,11 +100,10 @@ let check_falcon_parity leakage () =
         (g.Attack.Fullkey.keypair <> None && g.Attack.Fullkey.f = kp.Ntru.Ntrugen.f);
       let golden_witness = witness_of_fft g.Attack.Fullkey.f_fft in
       List.iter
-        (fun ((_, _, prefetch) as cfg) ->
+        (fun cfg ->
           let reader = Tracestore.Reader.open_store dir in
           let o =
-            Attack.Target.Falcon.recover_store ~ctx:(ctx_of cfg) ~leakage
-              ~prefetch ~dir reader
+            Attack.Target.Falcon.recover_store ~ctx:(ctx_of ~leakage cfg) ~dir reader
           in
           Alcotest.(check string)
             (cfg_label cfg ^ ": witness = golden")
@@ -144,15 +151,14 @@ let test_falcon_ranking_parity () =
               ~decoys:256 ()
           in
           let rank cfg parts =
-            let _, _, prefetch = cfg in
-            Attack.Dema.Stream.rank ~ctx:(ctx_of cfg) ~prefetch
+            Attack.Dema.Stream.rank ~ctx:(ctx_of cfg)
               (Tracestore.Reader.open_store dir)
               ~parts
               ~known:(fun (t : Leakage.trace) -> t)
               ~top:16 (Array.to_seq candidates)
           in
           let reference =
-            rank (1, Stats.Pearson.Batch.Scalar, false) (hand_parts ~leakage:`Hw unit_index)
+            rank (1, Stats.Pearson.Batch.Scalar) (hand_parts ~leakage:`Hw unit_index)
           in
           (match reference with
           | best :: _ ->
@@ -186,7 +192,8 @@ let test_falcon_hd_stop_rejected () =
         (Attack.Target.Falcon.supports_stop `Hd);
       let reader = Tracestore.Reader.open_store dir in
       match
-        Attack.Target.Falcon.recover_store ~leakage:`Hd
+        Attack.Target.Falcon.recover_store
+          ~ctx:(Attack.Ctx.make ~leakage:`Hd ())
           ~stop:(Sequential.Decision.spec ~alpha:1e-3 ())
           ~dir reader
       with
@@ -360,14 +367,13 @@ let with_hqc_store ?(leakage = `Hw) f =
       f dir)
 
 let hqc_recover ?stop ?leakage dir cfg =
-  let _, _, prefetch = cfg in
-  Attack.Target.Hqc.recover_store ~ctx:(ctx_of cfg) ?stop ?leakage ~prefetch ~dir
+  Attack.Target.Hqc.recover_store ~ctx:(ctx_of ?leakage cfg) ?stop ~dir
     (Tracestore.Reader.open_store dir)
 
 let test_hqc_e2e_determinism () =
   with_hqc_store (fun dir ->
       let truth = Attack.Target.Hqc.truth ~n:Hqc.Params.n_bits ~dir in
-      let reference = hqc_recover dir (1, Stats.Pearson.Batch.Scalar, false) in
+      let reference = hqc_recover dir (1, Stats.Pearson.Batch.Scalar) in
       Alcotest.(check bool) "recovers the secret" true
         reference.Attack.Target.success;
       Alcotest.(check string) "witness = encoded sidecar truth"
@@ -387,7 +393,7 @@ let test_hqc_stop_parity () =
   with_hqc_store (fun dir ->
       let stop = Sequential.Decision.spec ~alpha:1e-3 () in
       let reference =
-        hqc_recover ~stop dir (1, Stats.Pearson.Batch.Scalar, false)
+        hqc_recover ~stop dir (1, Stats.Pearson.Batch.Scalar)
       in
       Alcotest.(check bool) "adaptive run recovers the secret" true
         reference.Attack.Target.success;
@@ -414,7 +420,7 @@ let test_hqc_hd_acceptance () =
     (Attack.Target.Hqc.supports_stop `Hd);
   with_hqc_store ~leakage:`Hd (fun dir ->
       let o =
-        hqc_recover ~leakage:`Hd dir (2, Stats.Pearson.Batch.Batched, true)
+        hqc_recover ~leakage:`Hd dir (2, Stats.Pearson.Batch.Batched)
       in
       Alcotest.(check bool) "hd store + hd model recovers" true
         o.Attack.Target.success;
@@ -422,7 +428,7 @@ let test_hqc_hd_acceptance () =
         hqc_recover
           ~stop:(Sequential.Decision.spec ~alpha:1e-3 ())
           ~leakage:`Hd dir
-          (1, Stats.Pearson.Batch.Scalar, false)
+          (1, Stats.Pearson.Batch.Scalar)
       in
       Alcotest.(check bool) "hd adaptive run recovers" true
         o_stop.Attack.Target.success;
@@ -433,13 +439,13 @@ let test_hqc_hd_rejection () =
   (* the mismatched model must not reconstruct the secret from an
      hw-recorded campaign *)
   with_hqc_store ~leakage:`Hw (fun dir ->
-      let o = hqc_recover ~leakage:`Hd dir (1, Stats.Pearson.Batch.Scalar, false) in
+      let o = hqc_recover ~leakage:`Hd dir (1, Stats.Pearson.Batch.Scalar) in
       Alcotest.(check bool) "hw store + hd model fails" false
         o.Attack.Target.success)
 
 let test_hqc_rejects_falcon_store () =
   with_falcon_store ~traces:16 (fun dir ->
-      match hqc_recover dir (1, Stats.Pearson.Batch.Scalar, false) with
+      match hqc_recover dir (1, Stats.Pearson.Batch.Scalar) with
       | _ -> Alcotest.fail "hqc recover accepted a FALCON store"
       | exception Failure _ -> ())
 
