@@ -1359,25 +1359,38 @@ let target_bench () =
   let base_ranked = rank hand_parts () in
   let target_ranked = rank target_parts () in
   let falcon_identical = base_ranked = target_ranked in
-  (* min-of-rounds with the measurement order rotating each round, same
-     idiom as the obs section: with a fixed order the GC state left by
-     the first contestant systematically lands on the second and
-     masquerades as abstraction overhead *)
-  let rounds = 8 in
-  let contestants = [| rank hand_parts; rank target_parts |] in
-  let best = Array.make 2 infinity in
-  for round = 0 to rounds - 1 do
-    for k = 0 to 1 do
-      let i = (round + k) mod 2 in
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (contestants.(i) ()));
-      best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0)
-    done
-  done;
-  let base_s = best.(0) and target_s = best.(1) in
-  let ratio = base_s /. target_s in
+  (* Each round times base, target, target, base back to back and
+     reads one base/target ratio from the two sums: the second run of a
+     pair inheriting the first's garbage and a drift in machine load
+     land on both sides of the round.  The clock is process CPU time,
+     so time slices taken by concurrent processes (the other runtest
+     rules) are not charged to either side.  The gate reads the median
+     ratio over rounds. *)
+  let rounds = 31 in
+  let time f =
+    let t0 = Sys.time () in
+    ignore (Sys.opaque_identity (f ()));
+    Sys.time () -. t0
+  in
+  let base = rank hand_parts and target = rank target_parts in
+  let sums =
+    Array.init rounds (fun _ ->
+        let b1 = time base in
+        let t1 = time target in
+        let t2 = time target in
+        let b2 = time base in
+        (b1 +. b2, t1 +. t2))
+  in
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let base_s = median (Array.map fst sums) /. 2.
+  and target_s = median (Array.map snd sums) /. 2. in
+  let ratio = median (Array.map (fun (b, t) -> b /. t) sums) in
   Printf.printf
-    "rank: hand-built %.4f s, through Target.parts %.4f s (ratio %.2f), \
+    "rank (CPU): hand-built %.4f s, through Target.parts %.4f s (ratio %.2f), \
      bit-identical top-k %b\n%!"
     base_s target_s ratio falcon_identical;
   (match target_ranked with
@@ -1417,6 +1430,12 @@ let micro () =
       Test.make ~name:"fpr_add" (Staged.stage (fun () -> Fpr.add x y));
       Test.make ~name:"fpr_div" (Staged.stage (fun () -> Fpr.div x y));
       Test.make ~name:"fpr_sqrt" (Staged.stage (fun () -> Fpr.sqrt x));
+      (* the rows above run on the FPU; these time the instrumented soft
+         datapath that models the attacked intermediates *)
+      Test.make ~name:"fpr_mul_emit"
+        (Staged.stage (fun () -> Fpr.mul_emit ~emit:Fpr.no_emit x y));
+      Test.make ~name:"fpr_add_emit"
+        (Staged.stage (fun () -> Fpr.add_emit ~emit:Fpr.no_emit x y));
       Test.make ~name:"fft_512" (Staged.stage (fun () -> Fft.fft poly512));
       Test.make ~name:"ifft_512" (Staged.stage (fun () -> Fft.ifft fft512));
       Test.make ~name:"ntt_512" (Staged.stage (fun () -> Zq.ntt zq512));

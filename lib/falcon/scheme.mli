@@ -2,7 +2,7 @@
     (Algorithm 2) and verification, wired together from the substrate
     libraries.
 
-    Signing exposes an optional event sink on the
+    {!sign_traced} installs an event sink on the
     FFT(c) (.) FFT(f) coefficient-wise product — the exact computation
     the DAC'21 attack measures; the leakage simulator installs a probe
     there the same way the EM probe sits over the multiplier of the
@@ -33,16 +33,21 @@ val secret_of_keypair : Ntru.Ntrugen.keypair -> secret_key
 
 val public_of_secret : secret_key -> public_key
 
-val sign :
-  ?emit_cf:(int -> Fpr.event -> unit) ->
+val sign : rng:Prng.t -> secret_key -> string -> signature
+(** Sign a message; fresh salt from [rng].  Raises {!Signing_failed} if
+    100 sampling rounds produce no acceptable signature (does not happen
+    for honest keys). *)
+
+val sign_traced :
+  emit_cf:(int -> Fpr.event -> unit) ->
   rng:Prng.t ->
   secret_key ->
   string ->
-  signature
-(** Sign a message; fresh salt from [rng].  [emit_cf] observes every
+  signature * Fft.t
+(** {!sign} with the probe installed: [emit_cf] observes every
     soft-float intermediate of the FFT(c) (.) FFT(f) multiply, keyed by
-    coefficient index.  Raises {!Signing_failed} if 100 sampling rounds
-    produce no acceptable signature (does not happen for honest keys). *)
+    coefficient index, and the result carries the known input FFT(c)
+    the signer computed.  Same signature as {!sign} for the same [rng]. *)
 
 val verify : public_key -> string -> signature -> bool
 

@@ -85,22 +85,17 @@ let pack_round s e m =
     Int64.logor base (if s = 1 then Int64.min_int else 0L)
   end
 
-(* Normalise m in (0, 2^58) to [2^54, 2^55).  [sticky] may only be set
-   when no left shift is needed (true for every caller: cancellation in
-   additions is exact). *)
-let norm_pack s e m sticky =
+(* Correctly rounded (-1)^s * m * 2^e for any m > 0: normalise to
+   [2^54, 2^55), folding the bits shifted out into the sticky bit. *)
+let norm_pack s e m =
   assert (m > 0);
   let k = Bitops.bit_length m in
   if k >= 55 then begin
     let sh = k - 55 in
     let dropped = m land ((1 lsl sh) - 1) in
-    let m = m lsr sh lor (if dropped <> 0 || sticky then 1 else 0) in
-    pack_round s (e + sh) m
+    pack_round s (e + sh) (m lsr sh lor (if dropped <> 0 then 1 else 0))
   end
-  else begin
-    assert (not sticky);
-    pack_round s (e - (55 - k)) (m lsl (55 - k))
-  end
+  else pack_round s (e - (55 - k)) (m lsl (55 - k))
 
 let neg (x : t) = Int64.logxor x Int64.min_int
 
@@ -120,19 +115,7 @@ let double (x : t) =
     Int64.add x 0x10000000000000L
   end
 
-let scaled i sc =
-  if i = 0 then zero
-  else begin
-    let s = if i < 0 then 1 else 0 in
-    let a = abs i in
-    let k = Bitops.bit_length a in
-    if k <= 55 then pack_round s (sc + k - 55) (a lsl (55 - k))
-    else begin
-      let sh = k - 55 in
-      let dropped = a land ((1 lsl sh) - 1) in
-      pack_round s (sc + sh) (a lsr sh lor (if dropped <> 0 then 1 else 0))
-    end
-  end
+let scaled i sc = if i = 0 then zero else norm_pack (if i < 0 then 1 else 0) sc (abs i)
 
 let of_int i = scaled i 0
 
@@ -194,8 +177,6 @@ let mul_emit ~emit x y =
   emit { label = Result_hi; value = word_hi r; width = 32 };
   r
 
-let mul x y = mul_emit ~emit:no_emit x y
-
 let add_emit ~emit x y =
   (* Order operands so that |x| >= |y|. *)
   let ax = Int64.logand x Int64.max_int and ay = Int64.logand y Int64.max_int in
@@ -225,64 +206,38 @@ let add_emit ~emit x y =
     else begin
       (* xu carries 3 guard bits: value = zu * 2^(ex - 1075 - 3); the
          alignment sticky bit already lives in bit 0 of zu. *)
-      let r_bits = norm_pack sx (ex - 1078) zu false in
+      let r_bits = norm_pack sx (ex - 1078) zu in
       emit { label = Add_norm; value = mantissa r_bits; width = 52 };
       r_bits
     end
   end
 
-let add x y = add_emit ~emit:no_emit x y
-let sub x y = add x (neg y)
+(* Every operation below runs on the host FPU.  OCaml never contracts
+   [*.]/[+.] into a fused multiply-add, so each one rounds once, to
+   nearest-even, exactly like the soft datapath above; the two can only
+   part on subnormal results, which FALCON's working range never
+   produces.  Only [mul_emit]/[add_emit] model the attacked
+   intermediates, so only they stay on integers. *)
+let mul x y = of_float (to_float x *. to_float y)
+let add x y = of_float (to_float x +. to_float y)
+let sub x y = of_float (to_float x -. to_float y)
 
 let div x y =
-  let sx = sign_bit x and ex = biased_exponent x and mx = mantissa x in
-  let sy = sign_bit y and ey = biased_exponent y and my = mantissa y in
-  let s = sx lxor sy in
-  if ex = 0 then signed_zero s
+  if is_zero x then signed_zero (sign_bit x lxor sign_bit y)
   else begin
-    assert (ey <> 0);
-    let xu = mx lor (1 lsl 52) and yu = my lor (1 lsl 52) in
-    (* Restoring long division producing q = floor(xu * 2^55 / yu); the
-       first quotient bit is computed before the loop so that the
-       invariant r < yu holds (xu/yu lies in (1/2, 2)). *)
-    let q = ref (if xu >= yu then 1 else 0) in
-    let r = ref (if xu >= yu then xu - yu else xu) in
-    for _ = 1 to 55 do
-      r := !r lsl 1;
-      q := !q lsl 1;
-      if !r >= yu then begin
-        r := !r - yu;
-        q := !q lor 1
-      end
-    done;
-    norm_pack s (ex - ey - 55) !q (!r <> 0)
+    assert (not (is_zero y));
+    of_float (to_float x /. to_float y)
   end
 
 let inv x = div one x
 
+(* The native square root of -0 is -0; FALCON's contract (and the soft
+   code this replaced) returns +0 for either zero. *)
 let sqrt x =
   if is_zero x then zero
   else begin
     assert (sign_bit x = 0);
-    let ex = biased_exponent x and mx = mantissa x in
-    let mu = mx lor (1 lsl 52) in
-    let e2 = ex - 1075 in
-    let m, e2 = if e2 land 1 <> 0 then (mu lsl 1, e2 - 1) else (mu, e2) in
-    (* q = floor (sqrt (m * 2^56)), computed by the classic two-bit
-       shift-and-subtract method; m * 2^56 has 109/110 bits = 55 pairs. *)
-    let q = ref 0 and r = ref 0 in
-    for i = 0 to 54 do
-      let pair = if i <= 26 then (m lsr (52 - (2 * i))) land 3 else 0 in
-      r := (!r lsl 2) lor pair;
-      let c = (!q lsl 2) lor 1 in
-      if !r >= c then begin
-        r := !r - c;
-        q := (!q lsl 1) lor 1
-      end
-      else q := !q lsl 1
-    done;
-    let m55 = !q lor (if !r <> 0 then 1 else 0) in
-    pack_round 0 ((e2 asr 1) - 28) m55
+    of_float (Float.sqrt (to_float x))
   end
 
 let round_parts s kept roundup =

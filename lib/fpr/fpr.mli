@@ -3,17 +3,21 @@
     FALCON's reference implementation ships its own constant-time software
     floating point; the DAC'21 attack targets the intermediate values of
     that very code: the 25/28 split-mantissa schoolbook multiplication,
-    the exponent addition and the sign XOR.  This module reimplements that
-    arithmetic over plain integers and exposes every architecturally
-    visible intermediate through an {!emit} callback so the leakage
-    simulator can sample it.
+    the exponent addition and the sign XOR.  {!mul_emit} and {!add_emit}
+    reimplement that arithmetic over plain integers and expose every
+    architecturally visible intermediate through an {!emit} callback so
+    the leakage simulator can sample it.
 
     A value of type {!t} is the raw binary64 bit pattern.  Since OCaml's
-    native [float] is IEEE-754 binary64, every operation here is
-    property-tested bit-for-bit against the host FPU (see
-    [test/test_fpr.ml]); only finite values with biased exponents in
-    FALCON's working range are supported (no subnormals, infinities or
-    NaNs — FALCON's own emulation has the same contract). *)
+    native [float] is IEEE-754 binary64, the uninstrumented {!add},
+    {!sub}, {!mul}, {!div} and {!sqrt} run on the host FPU: OCaml never
+    fuses a multiply and an add, so each rounds once to nearest-even,
+    exactly as the soft datapath does, and the soft datapath is
+    property-tested bit-for-bit against them (see [test/test_fpr.ml]).
+    Only finite values with biased exponents in FALCON's working range
+    are supported (no subnormals, infinities or NaNs — FALCON's own
+    emulation has the same contract); that is also the range on which
+    the native and soft results are the same bits. *)
 
 type t = int64
 (** Binary64 bit pattern: bit 63 sign, bits 62-52 biased exponent,
@@ -94,12 +98,19 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
+(** A zero dividend gives the signed zero (sign xor), whatever the
+    divisor; otherwise the divisor must be non-zero (asserted). *)
+
 val inv : t -> t
+
 val sqrt : t -> t
+(** [sqrt] of either zero is [+0]; the operand must be non-negative
+    (asserted). *)
 
 val add_emit : emit:emit -> t -> t -> t
 val mul_emit : emit:emit -> t -> t -> t
-(** Instrumented variants; [add] and [mul] are [*_emit ~emit:no_emit]. *)
+(** Instrumented soft-float variants: the model of the attacked
+    intermediates.  They return the same bits as [add] and [mul]. *)
 
 (** {1 Rounding to integers} *)
 

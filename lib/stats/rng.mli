@@ -5,6 +5,10 @@
     scheme itself (which uses {!Prng.Chacha20} seeded from SHAKE). *)
 
 type t
+(** The 256-bit state is four little-endian 64-bit words in a 32-byte
+    buffer, read and written with [Bytes.get/set_int64_le] so a state
+    update allocates nothing; the output stream is the reference xoshiro256**
+    stream (pinned in [test/test_stats.ml]). *)
 
 val create : seed:int -> t
 (** [create ~seed] expands [seed] through SplitMix64 into the 256-bit

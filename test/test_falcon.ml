@@ -152,17 +152,65 @@ let test_emit_cf_observes_multiply () =
   let sk, _ = Lazy.force kp16 in
   let rng = Prng.of_seed "emit rng" in
   let count = Array.make 16 0 in
-  let sg =
-    Falcon.Scheme.sign ~emit_cf:(fun k _ -> count.(k) <- count.(k) + 1) ~rng sk "m"
+  let sg, c_fft =
+    Falcon.Scheme.sign_traced ~emit_cf:(fun k _ -> count.(k) <- count.(k) + 1) ~rng sk "m"
   in
-  ignore sg;
-  Array.iter (fun c -> Alcotest.(check int) "events per coefficient" 70 c) count
+  Array.iter (fun c -> Alcotest.(check int) "events per coefficient" 70 c) count;
+  (* the traced entry signs exactly like the untraced one and hands back
+     the known input it computed *)
+  let plain = Falcon.Scheme.sign ~rng:(Prng.of_seed "emit rng") sk "m" in
+  Alcotest.(check bool) "same signature as sign" true (sg = plain);
+  let c = Falcon.Hash.to_point ~n:16 (sg.salt ^ "m") in
+  Alcotest.(check bool) "c_fft = FFT(HashToPoint)" true (c_fft = Fft.fft_of_int c)
 
 let test_sign_deterministic_given_rng () =
   let sk, _ = Lazy.force kp16 in
   let a = Falcon.Scheme.sign ~rng:(Prng.of_seed "det") sk "m" in
   let b = Falcon.Scheme.sign ~rng:(Prng.of_seed "det") sk "m" in
   Alcotest.(check bool) "same rng, same signature" true (a.salt = b.salt && a.body = b.body)
+
+(* Bit patterns of every float the key carries: the basis FFTs and the
+   whole ffLDL tree (L10 nodes and leaf sigmas), so the floating-point
+   arithmetic of key generation is pinned to the last bit. *)
+let key_digest (sk : Falcon.Scheme.secret_key) =
+  let b = Buffer.create 65536 in
+  let fft (v : Fft.t) =
+    Array.iter (Buffer.add_int64_le b) v.re;
+    Array.iter (Buffer.add_int64_le b) v.im
+  in
+  Array.iter (Array.iter fft) sk.basis;
+  let rec tree = function
+    | Falcon.Tree.Leaf s -> Buffer.add_int64_le b (Int64.bits_of_float s)
+    | Node { l10; left; right } ->
+        fft l10;
+        tree left;
+        tree right
+  in
+  tree sk.tree;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_sign_known_answer_512 () =
+  (* Known-answer pins at the paper's parameter set, computed once and
+     committed as literals.  A last-bit change in a float rarely moves
+     an integer signature, so the key's floats are pinned as well as
+     the signature's salt and body. *)
+  let sk, _ = Falcon.Scheme.keygen ~n:512 ~seed:"known-answer key 512" in
+  Alcotest.(check string) "key floats digest" "a3e69f0c9628f09aa6a7112c802c5194"
+    (key_digest sk);
+  let sg =
+    Falcon.Scheme.sign ~rng:(Prng.of_seed "known-answer signer 512") sk
+      "known-answer message"
+  in
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  Alcotest.(check string) "salt"
+    "cc96e9fc8b708a5690b846bbe11392480f57f911ce3cacb60eeb7ec5569c8d6706807a8402c30b71"
+    (hex sg.salt);
+  Alcotest.(check int) "body length" 625 (String.length sg.body);
+  Alcotest.(check string) "body digest" "9122556ffdc14b0640d3cb70e468226c"
+    (Digest.to_hex (Digest.string sg.body))
 
 let test_recovered_key_signs () =
   (* secret_of_keypair over a key recovered from (f, h) must produce
@@ -196,4 +244,6 @@ let suite =
     Alcotest.test_case "emit_cf observes the multiply" `Quick test_emit_cf_observes_multiply;
     Alcotest.test_case "deterministic given rng" `Quick test_sign_deterministic_given_rng;
     Alcotest.test_case "recovered key forges" `Quick test_recovered_key_signs;
+    Alcotest.test_case "FALCON-512 signature known answer" `Quick
+      test_sign_known_answer_512;
   ]

@@ -1,6 +1,9 @@
-(* The soft-float is property-tested bit-for-bit against the host FPU:
+(* The soft datapath ([mul_emit]/[add_emit], the model of the attacked
+   intermediates) is property-tested bit-for-bit against the host FPU:
    OCaml's native [float] is IEEE-754 binary64, which is exactly what
-   FALCON's FPEMU implements for its working range. *)
+   FALCON's FPEMU implements for its working range.  The plain [mul],
+   [add], [sub], [div] and [sqrt] run natively, so they are checked
+   against the soft datapath and for their zero contract instead. *)
 
 let rng = Stats.Rng.create ~seed:2021
 
@@ -25,32 +28,64 @@ let binop_agrees name ~fpr_op ~float_op ~count ~erange =
     check_bits name expect got x y
   done
 
+let soft_mul = Fpr.mul_emit ~emit:Fpr.no_emit
+let soft_add = Fpr.add_emit ~emit:Fpr.no_emit
+
 let test_mul_matches_fpu () =
-  binop_agrees "mul" ~fpr_op:Fpr.mul ~float_op:( *. ) ~count:20000 ~erange:300
+  binop_agrees "mul" ~fpr_op:soft_mul ~float_op:( *. ) ~count:20000 ~erange:300
 
 let test_add_matches_fpu () =
-  binop_agrees "add" ~fpr_op:Fpr.add ~float_op:( +. ) ~count:20000 ~erange:300
+  binop_agrees "add" ~fpr_op:soft_add ~float_op:( +. ) ~count:20000 ~erange:300
 
 let test_sub_matches_fpu () =
-  binop_agrees "sub" ~fpr_op:Fpr.sub ~float_op:( -. ) ~count:20000 ~erange:300
-
-let test_div_matches_fpu () =
-  binop_agrees "div" ~fpr_op:Fpr.div ~float_op:( /. ) ~count:5000 ~erange:300
+  binop_agrees "sub"
+    ~fpr_op:(fun x y -> soft_add x (Fpr.neg y))
+    ~float_op:( -. ) ~count:20000 ~erange:300
 
 let test_add_close_exponents () =
   (* Cancellation-heavy regime: operands with nearby exponents. *)
   for _ = 1 to 20000 do
     let x = random_double ~erange:2 () and y = random_double ~erange:2 () in
     let expect = Int64.bits_of_float (Fpr.to_float x +. Fpr.to_float y) in
-    check_bits "add-close" expect (Fpr.add x y) x y
+    check_bits "add-close" expect (soft_add x y) x y
   done
 
-let test_sqrt_matches_fpu () =
-  for _ = 1 to 5000 do
-    let x = Int64.logand (random_double ~erange:300 ()) Int64.max_int in
-    let expect = Int64.bits_of_float (Float.sqrt (Fpr.to_float x)) in
-    check_bits "sqrt" expect (Fpr.sqrt x) x x
-  done
+let test_native_matches_soft () =
+  (* The untraced operations and the instrumented ones must be the same
+     function: signed zeros, exact cancellation and the wide range. *)
+  let nz = Fpr.neg Fpr.zero in
+  let zeros = [ Fpr.zero; nz ] in
+  let samples =
+    zeros @ [ Fpr.one; Fpr.of_int (-3) ] @ List.init 2000 (fun _ -> random_double ())
+  in
+  let check x y =
+    check_bits "mul" (soft_mul x y) (Fpr.mul x y) x y;
+    check_bits "add" (soft_add x y) (Fpr.add x y) x y;
+    check_bits "sub" (soft_add x (Fpr.neg y)) (Fpr.sub x y) x y
+  in
+  List.iter (fun z -> List.iter (fun x -> check z x; check x z) samples) zeros;
+  List.iter (fun x -> check x (Fpr.neg x)) samples;
+  let arr = Array.of_list samples in
+  Array.iteri (fun i x -> check x arr.((i * 7919) mod Array.length arr)) arr
+
+let test_div_sqrt_zero_contract () =
+  let nz = Fpr.neg Fpr.zero and three = Fpr.of_int 3 in
+  Alcotest.(check int64) "+0 / 3 = +0" Fpr.zero (Fpr.div Fpr.zero three);
+  Alcotest.(check int64) "-0 / 3 = -0" nz (Fpr.div nz three);
+  Alcotest.(check int64) "+0 / -3 = -0" nz (Fpr.div Fpr.zero (Fpr.neg three));
+  Alcotest.(check int64) "-0 / -3 = +0" Fpr.zero (Fpr.div nz (Fpr.neg three));
+  (* a zero dividend gives the signed zero even over a zero divisor *)
+  Alcotest.(check int64) "+0 / +0 = +0" Fpr.zero (Fpr.div Fpr.zero Fpr.zero);
+  Alcotest.(check int64) "-0 / +0 = -0" nz (Fpr.div nz Fpr.zero);
+  Alcotest.(check int64) "sqrt +0 = +0" Fpr.zero (Fpr.sqrt Fpr.zero);
+  Alcotest.(check int64) "sqrt -0 = +0" Fpr.zero (Fpr.sqrt nz);
+  let asserts name f =
+    match f () with
+    | (_ : Fpr.t) -> Alcotest.failf "%s: no assertion failure" name
+    | exception Assert_failure _ -> ()
+  in
+  asserts "3 / 0" (fun () -> Fpr.div three Fpr.zero);
+  asserts "sqrt -3" (fun () -> Fpr.sqrt (Fpr.neg three))
 
 let test_special_values () =
   Alcotest.(check int64) "1*1" Fpr.one (Fpr.mul Fpr.one Fpr.one);
@@ -195,8 +230,8 @@ let suite =
     Alcotest.test_case "add matches FPU (20k samples)" `Quick test_add_matches_fpu;
     Alcotest.test_case "sub matches FPU (20k samples)" `Quick test_sub_matches_fpu;
     Alcotest.test_case "add matches FPU, close exponents" `Quick test_add_close_exponents;
-    Alcotest.test_case "div matches FPU (5k samples)" `Quick test_div_matches_fpu;
-    Alcotest.test_case "sqrt matches FPU (5k samples)" `Quick test_sqrt_matches_fpu;
+    Alcotest.test_case "native mul/add/sub = soft datapath" `Quick test_native_matches_soft;
+    Alcotest.test_case "div/sqrt zero contract" `Quick test_div_sqrt_zero_contract;
     Alcotest.test_case "special values" `Quick test_special_values;
     Alcotest.test_case "of_int exact" `Quick test_of_int_exact;
     Alcotest.test_case "scaled" `Quick test_scaled;

@@ -108,6 +108,35 @@ let test_capture_window_consistency () =
       done)
     traces
 
+(* Known-answer pins for a whole campaign, computed once and committed
+   as literals: a digest of every [to_record] field of a 20-trace
+   capture at n = 32 (samples as their binary64 bit patterns).  Any
+   change to signing, the instrumented multiply or the noise stream
+   that moves a single bit of a sample, salt or body fails here. *)
+let capture_digest emitter =
+  let sk, _ = Falcon.Scheme.keygen ~n:32 ~seed:"known-answer key 32" in
+  let traces = Leakage.capture ~emitter Leakage.default_model ~seed:5 sk ~count:20 in
+  let b = Buffer.create 4096 in
+  let field s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  Array.iter
+    (fun t ->
+      let r = Leakage.to_record t in
+      field r.Tracestore.msg;
+      field r.salt;
+      field r.body;
+      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) r.samples)
+    traces;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_capture_known_answers () =
+  Alcotest.(check string) "HW emitter" "23a4944005989e6f2c1f29b90204678e"
+    (capture_digest Leakage.default_emitter);
+  Alcotest.(check string) "bus-HD emitter" "270c41dcf2f87086e3556520a1c8e881"
+    (capture_digest Leakage.hd_emitter)
+
 let test_ntt_trace () =
   let rng = Stats.Rng.create ~seed:14 in
   let p = Array.init 16 (fun i -> (i * 37) mod Zq.q) in
@@ -128,6 +157,7 @@ let suite =
     Alcotest.test_case "c_fft recomputable from public data" `Quick test_capture_c_fft_matches_salt;
     Alcotest.test_case "capture deterministic" `Quick test_capture_determinism;
     Alcotest.test_case "capture window consistency" `Quick test_capture_window_consistency;
+    Alcotest.test_case "capture known answers (n = 32)" `Quick test_capture_known_answers;
     Alcotest.test_case "ntt trace" `Quick test_ntt_trace;
   ]
 

@@ -179,6 +179,48 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Stats.Rng.next64 a) (Stats.Rng.next64 b)
   done
 
+(* Known-answer pins, computed once and committed as literals: the raw
+   xoshiro stream and the Box-Muller deviates built on it must stay
+   bit-identical across any change to the generator's representation. *)
+let rng_pins =
+  [
+    ( 0,
+      [| 0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L;
+         0x6AA594F1262D2D2CL; 0xBBA5AD4A1F842E59L; 0xFFEF8375D9EBCACAL;
+         0x6C160DEED2F54C98L; 0x8920AD648FC30A3FL |],
+      [| 0xBF9CE4064B3AE873L; 0xC00D88C949980295L; 0x3FF938C38139F4F7L;
+         0xC0047C75A32F0257L |] );
+    ( 1,
+      [| 0xB3F2AF6D0FC710C5L; 0x853B559647364CEAL; 0x92F89756082A4514L;
+         0x642E1C7BC266A3A7L; 0xB27A48E29A233673L; 0x24C123126FFDA722L;
+         0x123004EF8DF510E6L; 0x61954DCC47B1E89DL |],
+      [| 0xBFFAA5D15D61BBDEL; 0xBFFA277E54872B51L; 0x3FF0D9C8553273E0L;
+         0xC00B02898A315CAAL |] );
+    ( 2021,
+      [| 0xF61612C2FF4D9BC1L; 0x584F61AB0B9A78B4L; 0x8153A8240F70A3E2L;
+         0xF7825DE81809F5F1L; 0xBFA6B6578E1A9E26L; 0xCE8B4774F14E38AAL;
+         0x7183B95CE8A88807L; 0x78B3C45BDDE5122DL |],
+      [| 0xBFD436AECBA67D3BL; 0x40024B19ACA394AFL; 0x3FE1045834C9BE3AL;
+         0xC004143902ED13F1L |] );
+  ]
+
+let test_rng_known_answers () =
+  List.iter
+    (fun (seed, raw, gauss) ->
+      let r = Stats.Rng.create ~seed in
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d next64 #%d" seed i) v
+            (Stats.Rng.next64 r))
+        raw;
+      let r = Stats.Rng.create ~seed in
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d gaussian #%d" seed i) v
+            (Int64.bits_of_float (Stats.Rng.gaussian r ~mu:0. ~sigma:2.)))
+        gauss)
+    rng_pins
+
 let prop_int_below_range =
   QCheck.Test.make ~count:300 ~name:"int_below in range"
     QCheck.(pair small_int (int_range 1 1000))
@@ -334,6 +376,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_moments_empty_identity;
     QCheck_alcotest.to_alcotest prop_cov_empty_identity;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
+    Alcotest.test_case "rng known answers" `Quick test_rng_known_answers;
     Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
     QCheck_alcotest.to_alcotest prop_int_below_range;
   ]
