@@ -198,14 +198,11 @@ let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
 
 let cmd_check json_path =
   with_errors @@ fun () ->
-  match Assess.Matrix.validate (Assess.Json.of_string (read_file json_path)) with
+  let json = Assess.Json.of_string (read_file json_path) in
+  match Assess.Matrix.validate json with
   | Ok () ->
       let cells =
-        match
-          Option.bind
-            (Assess.Json.member "cells" (Assess.Json.of_string (read_file json_path)))
-            Assess.Json.to_list_opt
-        with
+        match Option.bind (Assess.Json.member "cells" json) Assess.Json.to_list_opt with
         | Some l -> List.length l
         | None -> 0
       in
@@ -228,334 +225,6 @@ let cmd_check_log log_path =
       Cli_common.ok
   | Error msg ->
       Printf.eprintf "%s: %s\n" log_path msg;
-      Cli_common.data_error
-
-(* {2 check-bench} *)
-
-(* Validates the gated bench artifacts so CI can fail on a regression.
-   Dispatches on the "schema" field:
-
-   - falcon-down/bench-pearson/v1 (BENCH_pearson.json): the batched
-     end-to-end rank must be bit-identical to the scalar baseline and at
-     least as fast;
-   - falcon-down/bench-sequential/v1 (BENCH_sequential.json): the
-     adaptive campaign must recover a key identical to the fixed-budget
-     run using at most half the traces on mean, with stop points
-     bit-identical across jobs and backends.
-
-   Shape errors and any failed invariant exit with the data-error
-   status. *)
-let check_pearson_bench err j =
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_int_opt with
-      | Some v when v > 0 -> ()
-      | Some v -> err (Printf.sprintf "field %S is %d, want a positive int" k v)
-      | None -> err (Printf.sprintf "missing int field %S" k))
-    [ "traces"; "guesses"; "jobs" ];
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v when Float.is_finite v && v >= 0. -> ()
-      | Some v ->
-          err (Printf.sprintf "field %S is %g, want a finite non-negative number" k v)
-      | None -> err (Printf.sprintf "missing number field %S" k))
-    [ "rank_scalar_s"; "rank_batched_s"; "rank_speedup"; "rank_prep_s"; "rank_score_s" ];
-  (match Option.bind (Assess.Json.member "bit_identical" j) Assess.Json.to_bool_opt with
-  | Some true -> ()
-  | Some false ->
-      err
-        "bit_identical is false — the batched kernel diverged from the scalar \
-         baseline"
-  | None -> err "missing bool field \"bit_identical\"");
-  (match Option.bind (Assess.Json.member "rank_speedup" j) Assess.Json.to_number_opt with
-  | Some v when Float.is_finite v && v < 1.0 ->
-      err
-        (Printf.sprintf
-           "rank_speedup %.2f is below 1.0 — the batched end-to-end rank regressed \
-            against the scalar baseline"
-           v)
-  | _ -> ());
-  fun () ->
-    let speedup =
-      match
-        Option.bind (Assess.Json.member "rank_speedup" j) Assess.Json.to_number_opt
-      with
-      | Some v -> v
-      | None -> assert false
-    in
-    Printf.sprintf "valid falcon-down/bench-pearson/v1 report (rank_speedup %.2fx, \
-                    bit-identical)"
-      speedup
-
-let check_sequential_bench err j =
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_int_opt with
-      | Some v when v > 0 -> ()
-      | Some v -> err (Printf.sprintf "field %S is %d, want a positive int" k v)
-      | None -> err (Printf.sprintf "missing int field %S" k))
-    [ "n"; "traces"; "jobs"; "units" ];
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_int_opt with
-      | Some v when v >= 0 -> ()
-      | Some v -> err (Printf.sprintf "field %S is %d, want a non-negative int" k v)
-      | None -> err (Printf.sprintf "missing int field %S" k))
-    [ "stopped_early"; "looks"; "traces_saved" ];
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v when Float.is_finite v && v >= 0. -> ()
-      | Some v ->
-          err (Printf.sprintf "field %S is %g, want a finite non-negative number" k v)
-      | None -> err (Printf.sprintf "missing number field %S" k))
-    [ "alpha"; "mean_traces"; "median_traces"; "fixed_s"; "adaptive_s" ];
-  (match Option.bind (Assess.Json.member "alpha" j) Assess.Json.to_number_opt with
-  | Some a when Float.is_finite a && (a <= 0. || a >= 1.) ->
-      err (Printf.sprintf "alpha %g outside (0, 1)" a)
-  | _ -> ());
-  (match Option.bind (Assess.Json.member "keys_identical" j) Assess.Json.to_bool_opt with
-  | Some true -> ()
-  | Some false ->
-      err
-        "keys_identical is false — the adaptive campaign recovered a different key \
-         than the fixed-budget run"
-  | None -> err "missing bool field \"keys_identical\"");
-  (match Option.bind (Assess.Json.member "stops_identical" j) Assess.Json.to_bool_opt with
-  | Some true -> ()
-  | Some false ->
-      err
-        "stops_identical is false — stop points diverged across jobs/backends"
-  | None -> err "missing bool field \"stops_identical\"");
-  (match
-     ( Option.bind (Assess.Json.member "mean_traces" j) Assess.Json.to_number_opt,
-       Option.bind (Assess.Json.member "traces" j) Assess.Json.to_int_opt )
-   with
-  | Some mean, Some total
-    when Float.is_finite mean && total > 0 && mean > 0.5 *. float_of_int total ->
-      err
-        (Printf.sprintf
-           "mean_traces %.1f exceeds half the fixed budget (%d) — early stopping \
-            saved too little"
-           mean total)
-  | _ -> ());
-  fun () ->
-    let num k =
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v -> v
-      | None -> assert false
-    in
-    Printf.sprintf "valid falcon-down/bench-sequential/v1 report (mean %.1f of %g \
-                    traces, keys and stops identical)"
-      (num "mean_traces") (num "traces")
-
-(* falcon-down/bench-leakage/v1 (BENCH_leakage.json): the register-
-   transfer device models and the realignment pass.  The bus-HD full-key
-   attack must succeed top-1 on the realigned jittered campaign, the
-   unaligned campaign must be measurably degraded (or the jitter did
-   nothing), everything must be bit-identical across jobs, and
-   realignment must recover at least 90% of the aligned-store MTD. *)
-let check_leakage_bench err j =
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_int_opt with
-      | Some v when v > 0 -> ()
-      | Some v -> err (Printf.sprintf "field %S is %d, want a positive int" k v)
-      | None -> err (Printf.sprintf "missing int field %S" k))
-    [ "n"; "traces"; "jobs"; "max_shift"; "mtd_hd_aligned"; "mtd_hd_realigned" ];
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v when Float.is_finite v && v >= 0. -> ()
-      | Some v ->
-          err (Printf.sprintf "field %S is %g, want a finite non-negative number" k v)
-      | None -> err (Printf.sprintf "missing number field %S" k))
-    [
-      "capture_hw_tps"; "capture_hd_tps"; "capture_pipeline_tps"; "realign_tps";
-      "realign_recovery";
-    ];
-  List.iter
-    (fun (k, why) ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_bool_opt with
-      | Some true -> ()
-      | Some false -> err (Printf.sprintf "%s is false — %s" k why)
-      | None -> err (Printf.sprintf "missing bool field %S" k))
-    [
-      ( "fullkey_realigned",
-        "the bus-HD attack lost the key on the realigned campaign" );
-      ( "unaligned_degraded",
-        "the jittered campaign was not degraded, so realignment proved nothing" );
-      ( "deterministic",
-        "realignment stats diverged across jobs settings" );
-    ];
-  (match
-     Option.bind (Assess.Json.member "realign_recovery" j) Assess.Json.to_number_opt
-   with
-  | Some v when Float.is_finite v && v < 0.9 ->
-      err
-        (Printf.sprintf
-           "realign_recovery %.3f is below 0.90 — realignment recovered too \
-            little of the aligned-store MTD"
-           v)
-  | _ -> ());
-  fun () ->
-    let num k =
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v -> v
-      | None -> assert false
-    in
-    Printf.sprintf
-      "valid falcon-down/bench-leakage/v1 report (recovery %.2f, full key on \
-       realigned store, deterministic)"
-      (num "realign_recovery")
-
-(* falcon-down/bench-target/v1 (BENCH_target.json): the target-agnostic
-   attack framework.  The HQC instance must recover its full secret from
-   a sharded store with success rate >= 0.9 and a witness bit-identical
-   across jobs/backends; routing the FALCON low-mantissa rank
-   through Target.parts must stay bit-identical to the hand-built part
-   set and keep at least 95% of its throughput. *)
-let check_target_bench err j =
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_int_opt with
-      | Some v when v > 0 -> ()
-      | Some v -> err (Printf.sprintf "field %S is %d, want a positive int" k v)
-      | None -> err (Printf.sprintf "missing int field %S" k))
-    [ "hqc_experiments"; "jobs" ];
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v when Float.is_finite v && v >= 0. -> ()
-      | Some v ->
-          err (Printf.sprintf "field %S is %g, want a finite non-negative number" k v)
-      | None -> err (Printf.sprintf "missing number field %S" k))
-    [ "hqc_sr"; "falcon_rank_base_s"; "falcon_rank_target_s"; "falcon_rank_ratio" ];
-  List.iter
-    (fun (k, why) ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_bool_opt with
-      | Some true -> ()
-      | Some false -> err (Printf.sprintf "%s is false — %s" k why)
-      | None -> err (Printf.sprintf "missing bool field %S" k))
-    [
-      ( "hqc_deterministic",
-        "the HQC witness diverged across jobs/backends" );
-      ( "falcon_identical",
-        "the FALCON rank through Target.parts diverged from the hand-built \
-         part set" );
-    ];
-  (match Option.bind (Assess.Json.member "hqc_sr" j) Assess.Json.to_number_opt with
-  | Some v when Float.is_finite v && v < 0.9 ->
-      err
-        (Printf.sprintf
-           "hqc_sr %.2f is below 0.90 — the HQC target failed to recover its \
-            secret often enough"
-           v)
-  | _ -> ());
-  (match
-     Option.bind (Assess.Json.member "falcon_rank_ratio" j) Assess.Json.to_number_opt
-   with
-  | Some v when Float.is_finite v && v < 0.95 ->
-      err
-        (Printf.sprintf
-           "falcon_rank_ratio %.3f is below 0.95 — routing the FALCON rank \
-            through Target.parts cost more than 5%% throughput"
-           v)
-  | _ -> ());
-  fun () ->
-    let num k =
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v -> v
-      | None -> assert false
-    in
-    Printf.sprintf
-      "valid falcon-down/bench-target/v1 report (hqc SR %.2f, falcon ratio %.2f, \
-       deterministic)"
-      (num "hqc_sr") (num "falcon_rank_ratio")
-
-(* falcon-down/bench-profiled/v1 (BENCH_profiled.json): the profiled
-   template distinguisher.  On the matched-sigma unprotected victim the
-   profiled MTD must be at or below the unprofiled (Pearson) MTD, the
-   profiled rankings must be bit-identical across the jobs probe, and
-   the template trainer must report its throughput. *)
-let check_profiled_bench err j =
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_int_opt with
-      | Some v when v > 0 -> ()
-      | Some v -> err (Printf.sprintf "field %S is %d, want a positive int" k v)
-      | None -> err (Printf.sprintf "missing int field %S" k))
-    [ "n"; "traces"; "jobs"; "train_traces"; "profiled_mtd"; "unprofiled_mtd" ];
-  List.iter
-    (fun k ->
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v when Float.is_finite v && v >= 0. -> ()
-      | Some v ->
-          err (Printf.sprintf "field %S is %g, want a finite non-negative number" k v)
-      | None -> err (Printf.sprintf "missing number field %S" k))
-    [ "sigma"; "train_s"; "train_tps" ];
-  (match Option.bind (Assess.Json.member "deterministic" j) Assess.Json.to_bool_opt with
-  | Some true -> ()
-  | Some false ->
-      err
-        "deterministic is false — profiled rankings diverged across the jobs \
-         probe"
-  | None -> err "missing bool field \"deterministic\"");
-  (match
-     ( Option.bind (Assess.Json.member "profiled_mtd" j) Assess.Json.to_int_opt,
-       Option.bind (Assess.Json.member "unprofiled_mtd" j) Assess.Json.to_int_opt )
-   with
-  | Some p, Some u when p > 0 && u > 0 && p > u ->
-      err
-        (Printf.sprintf
-           "profiled_mtd %d exceeds unprofiled_mtd %d — the template attack \
-            needs more traces than unprofiled CPA on the unprotected victim"
-           p u)
-  | _ -> ());
-  fun () ->
-    let num k =
-      match Option.bind (Assess.Json.member k j) Assess.Json.to_number_opt with
-      | Some v -> v
-      | None -> assert false
-    in
-    Printf.sprintf
-      "valid falcon-down/bench-profiled/v1 report (profiled MTD %g <= unprofiled \
-       %g, train %.0f traces/s, deterministic)"
-      (num "profiled_mtd") (num "unprofiled_mtd") (num "train_tps")
-
-let cmd_check_bench json_path =
-  with_errors @@ fun () ->
-  let j = Assess.Json.of_string (read_file json_path) in
-  let errors = ref [] in
-  let err m = errors := m :: !errors in
-  let summary =
-    match Option.bind (Assess.Json.member "schema" j) Assess.Json.to_string_opt with
-    | Some "falcon-down/bench-pearson/v1" -> check_pearson_bench err j
-    | Some "falcon-down/bench-sequential/v1" -> check_sequential_bench err j
-    | Some "falcon-down/bench-leakage/v1" -> check_leakage_bench err j
-    | Some "falcon-down/bench-target/v1" -> check_target_bench err j
-    | Some "falcon-down/bench-profiled/v1" -> check_profiled_bench err j
-    | Some s ->
-        err
-          (Printf.sprintf
-             "schema is %S, want \"falcon-down/bench-pearson/v1\", \
-              \"falcon-down/bench-sequential/v1\", \
-              \"falcon-down/bench-leakage/v1\", \
-              \"falcon-down/bench-target/v1\" or \
-              \"falcon-down/bench-profiled/v1\""
-             s);
-        fun () -> ""
-    | None ->
-        err "missing string field \"schema\"";
-        fun () -> ""
-  in
-  match List.rev !errors with
-  | [] ->
-      Printf.printf "%s: %s\n" json_path (summary ());
-      Cli_common.ok
-  | msgs ->
-      List.iter (fun m -> Printf.eprintf "%s: %s\n" json_path m) msgs;
       Cli_common.data_error
 
 open Cmdliner
@@ -729,32 +398,10 @@ let check_log_cmd =
           jsonl:PATH; exit 1 if invalid")
     Term.(const cmd_check_log $ log_json_arg)
 
-let bench_json_arg =
-  Arg.(
-    value
-    & pos 0 string "BENCH_pearson.json"
-    & info [] ~docv:"FILE" ~doc:"Bench report to validate.")
-
-let check_bench_cmd =
-  Cmd.v
-    (Cmd.info "check-bench"
-       ~doc:
-         "Validate a gated bench artifact (dispatching on its schema field): \
-          BENCH_pearson.json needs bit-identical rankings and rank_speedup >= \
-          1.0; BENCH_sequential.json needs identical keys, bit-identical stop \
-          points across jobs/backends and mean traces-to-decision at most half \
-          the fixed budget; BENCH_target.json needs HQC full-recovery SR >= 0.9 \
-          with a deterministic witness and the FALCON rank through Target.parts \
-          bit-identical within 5%% of its hand-built throughput; \
-          BENCH_profiled.json needs profiled MTD at or below the unprofiled MTD \
-          on the matched-sigma unprotected victim and rankings bit-identical \
-          across the jobs probe; exit 1 otherwise")
-    Term.(const cmd_check_bench $ bench_json_arg)
-
 let () =
   let doc = "Falcon Down leakage-assessment lab" in
   exit
     (Cmd.eval'
        (Cmd.group
           (Cmd.info "assess_cli" ~doc)
-          [ tvla_cmd; metrics_cmd; matrix_cmd; check_cmd; check_log_cmd; check_bench_cmd ]))
+          [ tvla_cmd; metrics_cmd; matrix_cmd; check_cmd; check_log_cmd ]))

@@ -16,12 +16,6 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let store_model (m : Leakage.model) =
-  { Tracestore.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
-
-let leakage_model (m : Tracestore.model_meta) =
-  { Leakage.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
-
 let record_into ?emitter ~obs writer model ~seed sk count =
   let next = Leakage.capture_stream ?emitter model ~seed sk in
   Obs.span obs "tracestore.record" ~fields:[ ("traces", Obs.Int count) ]
@@ -93,7 +87,7 @@ let cmd_record target n traces noise model_kind jitter drift seed shard out flag
   let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
   let writer =
     Tracestore.Writer.create ~dir:out ~n ~width:(n * Leakage.events_per_coeff)
-      ~shard_traces:shard ~model:(store_model model)
+      ~shard_traces:shard ~model
   in
   Printf.printf
     "recording %d traces of a fresh FALCON-%d victim into %s (noise sigma %.2f, \
@@ -116,7 +110,7 @@ let cmd_append store traces seed flags =
   Cli_common.run flags @@ fun ctx ->
   let writer = Tracestore.Writer.open_append store in
   let meta = Tracestore.Writer.meta writer in
-  let model = leakage_model meta.Tracestore.model in
+  let model = meta.Tracestore.model in
   match Falcon.Keycodec.decode_secret (read_file (Filename.concat store "secret.key")) with
   | None ->
       prerr_endline "could not read the store's secret.key (needed to keep signing)";
@@ -247,7 +241,7 @@ let cmd_import input out shard noise flags =
   let writer =
     Tracestore.Writer.create ~dir:out ~n ~width:(n * Leakage.events_per_coeff)
       ~shard_traces:shard
-      ~model:(store_model { Leakage.default_model with noise_sigma = noise })
+      ~model:{ Leakage.default_model with noise_sigma = noise }
   in
   Array.iter (fun t -> Tracestore.Writer.append writer (Leakage.to_record t)) traces;
   Tracestore.Writer.close writer;

@@ -308,13 +308,7 @@ let read_sidecar dir =
       (defense, secret, seed))
 
 let record_store ?p_fixed ~dir defense ~noise ~secret ~count ~seed ~shard_traces () =
-  let model =
-    {
-      Tracestore.alpha = Leakage.default_model.Leakage.alpha;
-      noise_sigma = noise;
-      baseline = Leakage.default_model.Leakage.baseline;
-    }
-  in
+  let model = { Leakage.default_model with noise_sigma = noise } in
   let w =
     Tracestore.Writer.create ~dir ~n:2 ~width:(width defense) ~shard_traces ~model
   in

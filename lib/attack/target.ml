@@ -80,9 +80,6 @@ let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let store_model (m : Leakage.model) =
-  { Tracestore.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
-
 (* ---------------- FALCON ---------------- *)
 
 module Falcon = struct
@@ -111,7 +108,7 @@ module Falcon = struct
     let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
     let writer =
       Tracestore.Writer.create ~dir ~n ~width:(width ~n) ~shard_traces
-        ~model:(store_model model)
+        ~model
     in
     let next =
       Leakage.capture_stream ~emitter:(emitter_of leakage) model ~seed sk
@@ -353,7 +350,7 @@ module Hqc_target = struct
     let y = Hqc.keygen ~seed in
     let writer =
       Tracestore.Writer.create ~dir ~n ~width:Hqc.Params.width ~shard_traces
-        ~model:(store_model model)
+        ~model
     in
     let next = Hqc.capture_stream ~emitter:leakage model ~seed y in
     for _ = 1 to traces do

@@ -1,4 +1,8 @@
-type model = { alpha : float; noise_sigma : float; baseline : float }
+type model = Tracestore.model_meta = {
+  alpha : float;
+  noise_sigma : float;
+  baseline : float;
+}
 
 module Params = struct
   type t = model = { alpha : float; noise_sigma : float; baseline : float }

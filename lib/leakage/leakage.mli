@@ -23,7 +23,7 @@
     deterministic; with the default emitter (HW, zero jitter) the output
     is bitwise identical to the idealized probe.  See DESIGN.md §14. *)
 
-type model = {
+type model = Tracestore.model_meta = {
   alpha : float;  (** volts per Hamming-weight unit *)
   noise_sigma : float;  (** Gaussian noise, same unit *)
   baseline : float;
