@@ -11,43 +11,54 @@
                 micro)
      FD_TRACES  trace budget for the per-coefficient experiments (10000)
      FD_N       ring size of the full-key attack (32)
-     FD_NOISE   leakage noise sigma (2.0)
+     FD_NOISE   leakage noise sigma (2.0); a finite number
      FD_SEED    experiment seed (42)
      FD_JOBS    worker domains for the key-recovery analysis (1); results
                 are bit-identical at every value
      FD_FULL    1 = exhaustive 2^25 / 2^27 mantissa enumeration in the
                 fig4 section (paper scale; hours on one core)
-     FD_PEARSON scalar = force the per-guess Pearson kernel everywhere
-                (default: the batched hypothesis-block kernel; both are
-                bit-identical — see Stats.Pearson.Batch)
 
    The sections that reproduce an evaluation claim gate it: each writes
    one BENCH_<section>.json row and checks its gates on the values it
    just computed.  Every section still runs after a failed gate; the
-   process then lists the failures on stderr and exits 1. *)
+   process then lists the failures on stderr and exits 1.  A malformed
+   variable exits 2 with a message naming it. *)
 
-let getenv_int name default =
+let getenv parse ~what name default =
   match Sys.getenv_opt name with
   | None -> default
   | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> i
+      match parse v with
+      | Some x -> x
       | None ->
-          Printf.eprintf "bench: %s=%S is not an integer\n" name v;
+          Printf.eprintf "bench: %s=%S is not %s\n" name v what;
           exit 2)
+
+let getenv_int = getenv int_of_string_opt ~what:"an integer"
+
+let getenv_float =
+  getenv ~what:"a finite number" (fun v ->
+      match float_of_string_opt v with
+      | Some f when Float.is_finite f -> Some f
+      | _ -> None)
 
 let only = Sys.getenv_opt "FD_ONLY"
 let trace_budget = getenv_int "FD_TRACES" 10_000
 let full_n = getenv_int "FD_N" 32
 let seed = getenv_int "FD_SEED" 42
 let exhaustive = getenv_int "FD_FULL" 0 = 1
-let jobs = getenv_int "FD_JOBS" 1
-let () = Parallel.set_default_jobs jobs
+let jobs =
+  getenv ~what:"a positive integer" (fun v ->
+      match int_of_string_opt v with Some j when j >= 1 -> Some j | _ -> None)
+    "FD_JOBS" 1
 
-(* FD_ALPHA / FD_NOISE / FD_BASELINE all land here through the one
-   place the acquisition constants live. *)
-let model = Leakage.Params.of_env ()
-let noise = model.Leakage.noise_sigma
+(* The one execution context of the run: every attack call below takes
+   [~ctx] (or a context derived from it), so each runs on FD_JOBS
+   workers. *)
+let ctx = Attack.Ctx.make ~jobs ()
+
+let noise = getenv_float "FD_NOISE" Leakage.default_model.Leakage.noise_sigma
+let model = { Leakage.default_model with Leakage.noise_sigma = noise }
 
 let section name = Printf.printf "\n================ %s ================\n%!" name
 
@@ -105,8 +116,8 @@ let paper_view =
   lazy
     begin
       let known =
-        Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re
-          ~count:trace_budget ~seed:(Printf.sprintf "bench %d" seed)
+        Attack.Workload.known_inputs ~ctx ~n:64 ~coeff:5 ~component:`Re
+          ~count:trace_budget ~seed:(Printf.sprintf "bench %d" seed) ()
       in
       let rng = Stats.Rng.create ~seed in
       Attack.Workload.mul_views model rng ~x:paper_coeff ~known
@@ -194,8 +205,8 @@ let fig4 () =
   (* (a) sign *)
   let sign_guesses = [| 0; 1 |] in
   let m =
-    Attack.Dema.corr_time ~traces:v.traces ~model:Attack.Recover.m_sign ~known:v.known
-      ~guesses:sign_guesses ()
+    Attack.Dema.corr_time ~ctx ~traces:v.traces ~model:Attack.Recover.m_sign
+      ~known:v.known ~guesses:sign_guesses ()
   in
   print_corr_time "(a) sign bit" sign_guesses [| "s=0"; "s=1 (correct)" |] m;
   let s_rec, s_corr = Attack.Recover.attack_sign v in
@@ -205,13 +216,15 @@ let fig4 () =
   let e_true = Fpr.biased_exponent paper_coeff in
   let e_guesses = [| e_true; e_true - 1; e_true + 1; e_true - 7; e_true + 16 |] in
   let m =
-    Attack.Dema.corr_time ~traces:v.traces ~model:Attack.Recover.m_exp ~known:v.known
-      ~guesses:e_guesses ()
+    Attack.Dema.corr_time ~ctx ~traces:v.traces ~model:Attack.Recover.m_exp
+      ~known:v.known ~guesses:e_guesses ()
   in
   print_corr_time "(b) exponent (e = ex + ey - 2100 register)" e_guesses
     [| "0x406 (correct)"; "0x405"; "0x407"; "0x3ff"; "0x416" |]
     m;
-  let s', e', _ = Attack.Recover.attack_sign_exponent ~mant:(Fpr.mantissa paper_coeff) v in
+  let s', e', _ =
+    Attack.Recover.attack_sign_exponent ~ctx ~mant:(Fpr.mantissa paper_coeff) v
+  in
   Printf.printf "joint sign+exponent recovery: sign=%d exponent=0x%x (true 0x%x)\n" s' e'
     e_true;
 
@@ -224,7 +237,7 @@ let fig4 () =
       Array.to_seq
         (Attack.Hypothesis.sampled rng ~width:25 ~truth:d_true ~decoys:4096 ())
   in
-  let naive = Attack.Recover.attack_mantissa_low_naive ~top:8 ~candidates:cands v in
+  let naive = Attack.Recover.attack_mantissa_low_naive ~ctx ~top:8 ~candidates:cands v in
   Printf.printf
     "\n(c) mantissa multiplication only (extend phase) — top guesses tie exactly:\n";
   List.iter
@@ -243,7 +256,7 @@ let fig4 () =
       Array.to_seq
         (Attack.Hypothesis.sampled rng ~width:25 ~truth:d_true ~decoys:4096 ())
   in
-  let ep = Attack.Recover.attack_mantissa_low ~top:8 ~candidates:cands v in
+  let ep = Attack.Recover.attack_mantissa_low ~ctx ~top:8 ~candidates:cands v in
   Printf.printf "\n(d) extend-and-prune on the intermediate addition:\n";
   List.iter
     (fun (s : Attack.Dema.scored) ->
@@ -261,7 +274,9 @@ let fig4 () =
         (Attack.Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:e_high_true
            ~decoys:4096 ())
   in
-  let hp = Attack.Recover.attack_mantissa_high ~top:8 ~candidates:cands ~d:ep.winner v in
+  let hp =
+    Attack.Recover.attack_mantissa_high ~ctx ~top:8 ~candidates:cands ~d:ep.winner v
+  in
   Printf.printf "high-half winner 0x%07x (true 0x%07x)\n" hp.winner e_high_true;
 
   (* (e-h) correlation evolution *)
@@ -326,7 +341,7 @@ let headline () =
             { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
         in
         let res, wall =
-          timed (fun () -> Attack.Fullkey.recover_key ~traces ~h:pk.h strategy)
+          timed (fun () -> Attack.Fullkey.recover_key ~ctx ~traces ~h:pk.h strategy)
         in
         let ok = Attack.Fullkey.count_correct res.f_fft ~truth:sk.f_fft in
         let forged =
@@ -400,7 +415,7 @@ let ntt_vs_fft () =
     }
   in
   let ranked =
-    Attack.Recover.attack_mantissa_low_naive ~top:64 ~candidates:(Array.to_seq cands)
+    Attack.Recover.attack_mantissa_low_naive ~ctx ~top:64 ~candidates:(Array.to_seq cands)
       v1000
   in
   let top = (List.hd ranked).Attack.Dema.corr in
@@ -431,9 +446,9 @@ let ablation_snr () =
     (fun sigma ->
       let m = { Leakage.default_model with noise_sigma = sigma } in
       let known =
-        Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re
+        Attack.Workload.known_inputs ~ctx ~n:64 ~coeff:5 ~component:`Re
           ~count:(min trace_budget 10000)
-          ~seed:(Printf.sprintf "snr %f %d" sigma seed)
+          ~seed:(Printf.sprintf "snr %f %d" sigma seed) ()
       in
       let rng = Stats.Rng.create ~seed:(seed + int_of_float (sigma *. 10.)) in
       let v = Attack.Workload.mul_views m rng ~x:paper_coeff ~known in
@@ -476,19 +491,21 @@ let ablation_prune () =
     let d = xu land 0x1FFFFFF in
     if d > 0 then begin
       let known =
-        Attack.Workload.known_inputs ~n:64 ~coeff:3 ~component:`Re ~count:1500
-          ~seed:(Printf.sprintf "prune %d %d" seed t)
+        Attack.Workload.known_inputs ~ctx ~n:64 ~coeff:3 ~component:`Re ~count:1500
+          ~seed:(Printf.sprintf "prune %d %d" seed t) ()
       in
       let v = Attack.Workload.mul_views model rng ~x ~known in
       let cands = Attack.Hypothesis.sampled rng ~width:25 ~truth:d ~decoys:512 () in
       if Attack.Hypothesis.shift_aliases ~width:25 d <> [] then incr with_aliases;
       (match
-         Attack.Recover.attack_mantissa_low_naive ~top:1
+         Attack.Recover.attack_mantissa_low_naive ~ctx ~top:1
            ~candidates:(Array.to_seq cands) v
        with
       | { guess; _ } :: _ when guess = d -> incr naive_ok
       | _ -> ());
-      let r = Attack.Recover.attack_mantissa_low ~candidates:(Array.to_seq cands) v in
+      let r =
+        Attack.Recover.attack_mantissa_low ~ctx ~candidates:(Array.to_seq cands) v
+      in
       if r.winner = d then incr ep_ok
     end
   done;
@@ -580,11 +597,12 @@ let stream () =
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
   let mem_ranked, mem_s =
     timed (fun () ->
-        Attack.Dema.rank ~traces:rows ~parts ~known:ks ~top:8 (Array.to_seq candidates))
+        Attack.Dema.rank ~ctx ~traces:rows ~parts ~known:ks ~top:8
+          (Array.to_seq candidates))
   in
   let stream_ranked, stream_s =
     timed (fun () ->
-        Attack.Dema.Stream.rank reader ~parts
+        Attack.Dema.Stream.rank ~ctx reader ~parts
           ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
           ~top:8 (Array.to_seq candidates))
   in
@@ -600,7 +618,7 @@ let stream () =
 
   (* evolution checkpoints: shard-merged accumulators vs prefix rescans *)
   let stream_evo =
-    Attack.Dema.Stream.evolution reader
+    Attack.Dema.Stream.evolution ~ctx reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
       ~model:Attack.Recover.m_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
@@ -666,7 +684,7 @@ let assess () =
         in
         let r, tvla_s =
           timed (fun () ->
-              Assess.Tvla.of_entries ~classify:Assess.Tvla.fixed_vs_random entries)
+              Assess.Tvla.of_entries ~ctx ~classify:Assess.Tvla.fixed_vs_random entries)
         in
         let lo, hi = Assess.Campaign.assessed_region defense in
         let _, t1 = Assess.Tvla.max_abs ~lo ~hi r.t1 in
@@ -683,7 +701,7 @@ let assess () =
   let budget = max 64 (min trace_budget 300) in
   let outcome, metrics_s =
     timed (fun () ->
-        Assess.Metrics.run
+        Assess.Metrics.run ~ctx
           { Assess.Metrics.defense = `None; noise; budget; experiments = 4; decoys = 64;
             seed })
   in
@@ -746,7 +764,7 @@ let pearson () =
   in
   let rank distinguisher () =
     Attack.Dema.rank
-      ~ctx:(Attack.Ctx.make ~distinguisher ())
+      ~ctx:(Attack.Ctx.with_backend distinguisher ctx)
       ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
   let scalar_rank, rank_scalar_s =
@@ -765,7 +783,7 @@ let pearson () =
      Debug level, span durations parsed back out of the JSONL log *)
   let span_buf = Buffer.create 4096 in
   let obs_ctx =
-    Attack.Ctx.make ~distinguisher:Attack.Distinguisher.Pearson_batched
+    Attack.Ctx.make ~jobs ~distinguisher:Attack.Distinguisher.Pearson_batched
       ~obs:(Obs.make ~level:Obs.Debug (Obs.Jsonl.to_buffer span_buf))
       ()
   in
@@ -946,13 +964,13 @@ let sequential () =
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
   in
   let fixed, fixed_s =
-    timed (fun () -> Attack.Fullkey.recover_f_fft_store ~reader strategy)
+    timed (fun () -> Attack.Fullkey.recover_f_fft_store ~ctx ~reader strategy)
   in
   let spec = Sequential.Decision.spec ~alpha () in
   let summary = ref None in
   let adaptive, adaptive_s =
     timed (fun () ->
-        Attack.Fullkey.recover_f_fft_store ~stop:spec
+        Attack.Fullkey.recover_f_fft_store ~ctx ~stop:spec
           ~stop_report:(fun s -> summary := Some s)
           ~reader strategy)
   in
@@ -1036,9 +1054,12 @@ let sequential () =
   rm_store dir
 
 (* ---------------------------------------------------------------- *)
-(* Observability overhead: the same end-to-end ranking sweep with no
-   context (the call without [~ctx], on the process defaults), a
-   Null-sink context and a JSONL-sink context.  Instrumentation must be
+(* Observability overhead: the same end-to-end ranking sweep under the
+   run's context as every section passes it (the "no ctx" baseline,
+   named so for comparability of BENCH_obs.json rows; a call without
+   [~ctx] would run on one worker whatever FD_JOBS says), the same
+   context with the Null sink set explicitly, and a JSONL-sink context.
+   Instrumentation must be
    observationally transparent: the row (BENCH_obs.json) is gated on
    all three rankings being bit-identical.  The sink overheads are
    reported, not gated: at the smoke-test budget they are within the
@@ -1062,9 +1083,9 @@ let obs_bench () =
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" (Array.length guesses)
     (Array.length traces) jobs;
   let no_ctx () =
-    Attack.Dema.rank ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
+    Attack.Dema.rank ~ctx ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
-  let null_ctx = Attack.Ctx.with_jobs jobs (Attack.Ctx.default ()) in
+  let null_ctx = Attack.Ctx.with_obs Obs.null ctx in
   let null () =
     Attack.Dema.rank ~ctx:null_ctx ~traces ~parts ~known ~top:32
       (Array.to_seq guesses)
@@ -1153,7 +1174,9 @@ let leakage_bench () =
   let dst = Filename.concat tmp "fd_bench_leak_dst" in
   write_store ~dir:src ~n ~shard_traces:(max 1 ((count + 3) / 4)) jittered;
   rm_store dst;
-  let st, realign_s = timed (fun () -> Align.realign_store ~max_shift ~src ~dst ()) in
+  let st, realign_s =
+    timed (fun () -> Align.realign_store ~ctx ~max_shift ~src ~dst ())
+  in
   let realign_tps = float_of_int st.Align.traces /. realign_s in
   Printf.printf
     "realign: %d traces in %.3fs (%.0f traces/s); %d shifted, max |shift| %d, \
@@ -1169,7 +1192,7 @@ let leakage_bench () =
   let attack name traces =
     let res =
       Attack.Fullkey.recover_key
-        ~ctx:(Attack.Ctx.make ~leakage:`Hd ())
+        ~ctx:(Attack.Ctx.with_leakage `Hd ctx)
         ~traces ~h:pk.h strategy
     in
     let correct = Attack.Fullkey.count_correct res.Attack.Fullkey.f_fft ~truth:sk.f_fft in
@@ -1216,7 +1239,7 @@ let leakage_bench () =
             mtd_clean
         in
         let rows, _ =
-          Align.realign_rows ~max_shift ~fill:mtd_model.Leakage.baseline
+          Align.realign_rows ~ctx ~max_shift ~fill:mtd_model.Leakage.baseline
             rows
         in
         Array.map2
@@ -1342,7 +1365,7 @@ let target_bench () =
               ~shard_traces:(max 1 ((hqc_budget + 3) / 4))
               ();
             let reader = Tracestore.Reader.open_store dir in
-            (dir, H.recover_store ~ctx:(Attack.Ctx.make ~jobs ()) ~dir reader)))
+            (dir, H.recover_store ~ctx ~dir reader)))
   in
   let successes =
     List.length (List.filter (fun (_, o) -> o.Attack.Target.success) outcomes)
@@ -1414,7 +1437,7 @@ let target_bench () =
     (List.length target_parts)
     jobs;
   let rank parts () =
-    Attack.Dema.Stream.rank reader ~parts
+    Attack.Dema.Stream.rank ~ctx reader ~parts
       ~known:(fun (t : Leakage.trace) -> t)
       ~top:16 (Array.to_seq candidates)
   in
@@ -1553,8 +1576,8 @@ let countermeasures () =
   let mk_view kind =
     let rng = Stats.Rng.create ~seed:(seed + 31) in
     let ys =
-      Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re ~count
-        ~seed:(Printf.sprintf "cm %d" seed)
+      Attack.Workload.known_inputs ~ctx ~n:64 ~coeff:5 ~component:`Re ~count
+        ~seed:(Printf.sprintf "cm %d" seed) ()
     in
     let trace y =
       match kind with
@@ -1583,7 +1606,9 @@ let countermeasures () =
         Attack.Hypothesis.sampled (Stats.Rng.create ~seed:(seed + 32)) ~width:25
           ~truth:d_true ~decoys:1024 ()
       in
-      let r = Attack.Recover.attack_mantissa_low ~candidates:(Array.to_seq cands) v in
+      let r =
+        Attack.Recover.attack_mantissa_low ~ctx ~candidates:(Array.to_seq cands) v
+      in
       Printf.printf "%-14s | %+19.4f | %-28s | %d\n%!" name corr
         (if r.winner = d_true then "recovers D" else "FAILS (D not recovered)")
         events)
@@ -1621,9 +1646,7 @@ let profiled () =
   F.record_store ~dir:victim ~n ~traces:count ~noise ~seed ~shard_traces:shard ();
   let store, train_s =
     timed (fun () ->
-        Attack.Target.profile
-          ~ctx:(Attack.Ctx.make ~jobs ())
-          (module F) ~dir:clone
+        Attack.Target.profile ~ctx (module F) ~dir:clone
           (Tracestore.Reader.open_store clone))
   in
   let train_tps = float_of_int count /. train_s in
@@ -1667,19 +1690,16 @@ let profiled () =
     Assess.Campaign.generate ~p_fixed:1.0 `None ~noise ~secret:csecret
       ~count:(budget * experiments) ~seed:cseed
   in
-  let base = Attack.Ctx.make ~jobs () in
   let mstore =
-    Assess.Metrics.profile_entries ~ctx:base ~defense:`None ~truth:csecret
+    Assess.Metrics.profile_entries ~ctx ~defense:`None ~truth:csecret
       centries
   in
   let eval ctx =
     Assess.Metrics.of_entries ~ctx ~defense:`None ~truth:secret ~experiments
       ~decoys:128 ~seed:(Assess.Metrics.derived_seed mseed) entries
   in
-  let unprofiled = eval base in
-  let prof =
-    eval (Attack.Ctx.with_backend (Attack.Distinguisher.Profiled mstore) base)
-  in
+  let unprofiled = eval ctx in
+  let prof = eval (Attack.Ctx.with_backend (Attack.Distinguisher.Profiled mstore) ctx) in
   let mtd_of (o : Assess.Metrics.outcome) =
     match o.Assess.Metrics.mtd with Some d -> d | None -> 0
   in

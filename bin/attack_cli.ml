@@ -8,7 +8,7 @@
 (* Exit statuses follow the repository-wide convention in Cli_common:
    expected failures (malformed or missing input files, failed key
    reconstruction) become a message on stderr and the data-error status
-   rather than an uncaught exception.  The shared -j/--backend/--log
+   rather than an uncaught exception.  The shared -j/--templates/--log
    flags are parsed once in Cli_common and arrive as an Attack.Ctx. *)
 
 let cmd_run n traces noise seed flags =
@@ -45,8 +45,8 @@ let cmd_coefficient traces noise seed flags =
   let x = 0xC06017BC8036B580L in
   Printf.printf "attacking the paper's coefficient %Lx with %d traces\n%!" x traces;
   let known =
-    Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re ~count:traces
-      ~seed:(Printf.sprintf "cli-%d" seed)
+    Attack.Workload.known_inputs ~ctx ~n:64 ~coeff:5 ~component:`Re ~count:traces
+      ~seed:(Printf.sprintf "cli-%d" seed) ()
   in
   let v = Attack.Workload.mul_views model (Stats.Rng.create ~seed) ~x ~known in
   let got =
@@ -163,7 +163,7 @@ let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
 (* Profiling phase of the GALACTICS-style template attack: train
    per-intermediate Gaussian templates on a cloned-device campaign whose
    ground-truth sidecars the store carries, and persist them for
-   `crack --backend profiled --templates PATH`. *)
+   `crack --templates PATH`. *)
 let cmd_profile target dir out leakage npoi ndim max_traces flags =
   Cli_common.run flags @@ fun ctx ->
   let ctx = Attack.Ctx.with_leakage leakage ctx in
@@ -320,7 +320,7 @@ let until_confident_arg =
            reading traces once the sequential Fisher-z test on its top-1 vs \
            runner-up correlation gap reaches confidence, instead of consuming \
            the whole campaign.  The recovered key and every stop point are \
-           bit-identical across -j and backends.")
+           bit-identical across -j.")
 
 let alpha_arg =
   Arg.(

@@ -14,10 +14,9 @@
 
    This module also hoists the flag parsing the four CLIs share: one
    [Common_flags] record carries the worker-domain count, the
-   distinguisher backend (including the profiled template backend and
-   its --templates store path) and the observability sink selection,
-   and [run] turns it into an [Attack.Ctx.t] handed to the subcommand
-   body. *)
+   --templates store path that selects the profiled distinguisher and
+   the observability sink selection, and [run] turns it into an
+   [Attack.Ctx.t] handed to the subcommand body. *)
 
 let ok = 0
 let data_error = 1
@@ -32,19 +31,12 @@ open Cmdliner
 
 type log = Off | Pretty | Jsonl of string
 
-(* The --backend enum covers every registered distinguisher: the two
-   Pearson kernels plus the profiled template backend, which needs a
-   --templates store to instantiate. *)
-type backend_flag = Auto | Scalar | Batched | Profiled
-
 module Common_flags = struct
   type t = {
     jobs : int;
-    backend : backend_flag;
-    templates : string option;  (* --templates PATH, required by Profiled *)
+    templates : string option;  (* --templates PATH: the profiled distinguisher *)
     log : log;
     log_level : Obs.level;
-    mmap : [ `Auto | `Mmap | `Read ];
     on_corrupt : [ `Fail | `Skip ];
   }
 end
@@ -58,34 +50,15 @@ let jobs_arg =
           "Worker domains for parallelisable stages.  Every result is \
            bit-identical at every value; 1 (the default) runs sequentially.")
 
-let backend_conv =
-  Arg.enum
-    [
-      ("auto", Auto);
-      ("scalar", Scalar);
-      ("batched", Batched);
-      ("profiled", Profiled);
-    ]
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv Auto
-    & info [ "backend" ] ~docv:"KERNEL"
-        ~doc:
-          "Distinguisher backend: $(b,auto) (the process default, honouring \
-           FD_PEARSON), $(b,scalar) or $(b,batched) (Pearson correlation — \
-           all three produce bit-identical rankings), or $(b,profiled) \
-           (Gaussian template log-likelihood; requires $(b,--templates)).")
-
 let templates_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "templates" ] ~docv:"PATH"
         ~doc:
-          "Template store for $(b,--backend profiled), as written by \
-           $(b,attack_cli profile).")
+          "Score with the profiled distinguisher (Gaussian template \
+           log-likelihood) against this template store, as written by \
+           $(b,attack_cli profile).  Omitted: batched Pearson correlation.")
 
 let log_conv =
   let parse s =
@@ -138,20 +111,6 @@ let log_level_arg =
     & info [ "log-level" ] ~docv:"LEVEL"
         ~doc:"Event verbosity: $(b,error), $(b,info) (default) or $(b,debug).")
 
-let mmap_conv =
-  Arg.enum [ ("auto", `Auto); ("on", `Mmap); ("off", `Read) ]
-
-let mmap_arg =
-  Arg.(
-    value
-    & opt mmap_conv `Auto
-    & info [ "mmap" ] ~docv:"MODE"
-        ~doc:
-          "Shard file access: $(b,auto) (default — memory-map, falling back to \
-           buffered reads when the platform refuses), $(b,on) (require mmap) or \
-           $(b,off) (always buffered reads).  Both paths run the same CRC-checked \
-           decoder and yield byte-identical traces.")
-
 let on_corrupt_conv = Arg.enum [ ("fail", `Fail); ("skip", `Skip) ]
 
 let on_corrupt_arg =
@@ -167,26 +126,16 @@ let on_corrupt_arg =
 
 let flags_term =
   Term.(
-    const (fun jobs backend templates log log_level mmap on_corrupt ->
-        {
-          Common_flags.jobs;
-          backend;
-          templates;
-          log;
-          log_level;
-          mmap;
-          on_corrupt;
-        })
-    $ jobs_arg $ backend_arg $ templates_arg $ log_arg $ log_level_arg $ mmap_arg
-    $ on_corrupt_arg)
+    const (fun jobs templates log log_level on_corrupt ->
+        { Common_flags.jobs; templates; log; log_level; on_corrupt })
+    $ jobs_arg $ templates_arg $ log_arg $ log_level_arg $ on_corrupt_arg)
 
-(* Open a trace store honouring the shared --mmap / --on-corrupt flags.
-   The [policy] on the reader handle matches --on-corrupt so policy-honouring
+(* Open a trace store honouring the shared --on-corrupt flag.  The
+   [policy] on the reader handle matches --on-corrupt so policy-honouring
    iteration (Reader.fold / to_seq) behaves consistently with the streaming
    attack passes, which read it from the context. *)
 let open_store (flags : Common_flags.t) dir =
-  Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt
-    ~access:flags.Common_flags.mmap dir
+  Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt dir
 
 (* Shared data flags (same name, same doc, every CLI). *)
 
@@ -197,7 +146,7 @@ let noise_arg =
   (* default from the one place the acquisition constants live *)
   Arg.(
     value
-    & opt float Leakage.Params.default.Leakage.noise_sigma
+    & opt float Leakage.default_model.Leakage.noise_sigma
     & info [ "noise" ] ~doc:"Noise sigma.")
 let n_arg = Arg.(value & opt int 32 & info [ "n" ] ~doc:"Ring degree of the victim.")
 
@@ -225,32 +174,25 @@ let target_arg =
 let store_default_arg ~doc =
   Arg.(value & opt string "campaign" & info [ "i"; "store" ] ~docv:"DIR" ~doc)
 
-(* Resolve the --backend / --templates pair into a distinguisher
-   selection.  --backend profiled without --templates is a
-   configuration error (exit 1 with a message naming both flags);
-   --templates with a Pearson backend is ignored deliberately so
-   scripts can hold the flag constant while sweeping backends. *)
+(* --templates PATH selects the profiled distinguisher; without it every
+   run scores with batched Pearson. *)
 let distinguisher_of_flags (flags : Common_flags.t) =
-  match flags.Common_flags.backend with
-  | Auto -> Attack.Distinguisher.default ()
-  | Scalar -> Attack.Distinguisher.Pearson_scalar
-  | Batched -> Attack.Distinguisher.Pearson_batched
-  | Profiled -> (
-      match flags.Common_flags.templates with
-      | Some path -> Attack.Distinguisher.Profiled (Attack.Profile.load path)
-      | None ->
-          failwith
-            "--backend profiled needs --templates PATH (a template store \
-             written by `attack_cli profile`)")
+  match flags.Common_flags.templates with
+  | Some path -> Attack.Distinguisher.Profiled (Attack.Profile.load path)
+  | None -> Attack.Distinguisher.Pearson_batched
 
 (* [run flags f] is the standard subcommand body wrapper: map expected
-   exceptions to the data-error status, honour [-j] process-wide, build
-   the execution context from the flags (sink lifetime included — the
-   JSONL channel is flushed and closed even if [f] raises), and hand it
-   to [f]. *)
+   exceptions to the data-error status, build the execution context
+   from the flags (validated before the sink opens; sink lifetime
+   included — the JSONL channel is flushed and closed even if [f]
+   raises), and hand it to [f]. *)
 let run (flags : Common_flags.t) f =
   with_errors @@ fun () ->
-  Parallel.set_default_jobs flags.Common_flags.jobs;
+  let ctx =
+    Attack.Ctx.make ~jobs:flags.Common_flags.jobs
+      ~distinguisher:(distinguisher_of_flags flags)
+      ~on_corrupt:flags.Common_flags.on_corrupt ()
+  in
   let obs, finish =
     match flags.Common_flags.log with
     | Off -> (Obs.null, ignore)
@@ -266,10 +208,4 @@ let run (flags : Common_flags.t) f =
             sink.Obs.flush ();
             close_out oc )
   in
-  let ctx =
-    Attack.Ctx.make
-      ~distinguisher:(distinguisher_of_flags flags)
-      ~obs
-      ~on_corrupt:flags.Common_flags.on_corrupt ()
-  in
-  Fun.protect ~finally:finish (fun () -> f ctx)
+  Fun.protect ~finally:finish (fun () -> f (Attack.Ctx.with_obs obs ctx))

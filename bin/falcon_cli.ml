@@ -73,7 +73,7 @@ let string_of_hex h =
 (* Exit statuses follow the repository-wide convention in Cli_common:
    malformed key/signature files and bad parameters exit with the
    data-error status and a message, never a backtrace.  The shared
-   -j/--backend/--log flags are parsed once in Cli_common. *)
+   -j/--templates/--log flags are parsed once in Cli_common. *)
 
 let cmd_keygen n seed out flags =
   Cli_common.run flags @@ fun _ctx ->

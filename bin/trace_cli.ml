@@ -161,7 +161,7 @@ let cmd_inspect store flags =
 let cmd_verify store flags =
   Cli_common.run flags @@ fun _ctx ->
   let meta, results =
-    Tracestore.verify ~access:flags.Cli_common.Common_flags.mmap store
+    Tracestore.verify store
   in
   Printf.printf "verifying %s (FALCON-%d, %d samples/trace)\n%!" store
     meta.Tracestore.n meta.Tracestore.width;
@@ -200,8 +200,7 @@ let cmd_align src dst max_shift ref_traces flags =
      traces)\n%!"
     src dst max_shift ref_traces;
   let st =
-    Align.realign_store ~ctx
-      ~access:flags.Cli_common.Common_flags.mmap ~max_shift
+    Align.realign_store ~ctx ~max_shift
       ~reference_traces:ref_traces ~src ~dst ()
   in
   if st.Align.traces = 0 then Printf.printf "empty store: 0 traces realigned\n"

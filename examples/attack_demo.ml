@@ -7,11 +7,19 @@
    Environment: FD_N (ring size, default 32), FD_TRACES (default 2500),
    FD_NOISE (Gaussian noise sigma, default 2.0). *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
+(* A malformed value exits 2 with a message naming the variable. *)
+let getenv parse ~what name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+      match parse v with
+      | Some x -> x
+      | None ->
+          Printf.eprintf "attack_demo: %s=%S is not %s\n" name v what;
+          exit 2)
 
-let getenv_float name default =
-  match Sys.getenv_opt name with Some v -> float_of_string v | None -> default
+let getenv_int = getenv int_of_string_opt ~what:"an integer"
+let getenv_float = getenv float_of_string_opt ~what:"a number"
 
 let () =
   let n = getenv_int "FD_N" 32 in

@@ -13,7 +13,7 @@ let () =
   let model = Leakage.default_model in
   let ys =
     Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re ~count
-      ~seed:"countermeasures example"
+      ~seed:"countermeasures example" ()
   in
   let view kind =
     let rng = Stats.Rng.create ~seed:77 in

@@ -17,7 +17,7 @@ let () =
     x;
   let known =
     Attack.Workload.known_inputs ~n ~coeff:5 ~component:`Re ~count
-      ~seed:"false positives example"
+      ~seed:"false positives example" ()
   in
   let rng = Stats.Rng.create ~seed:7 in
   let v = Attack.Workload.mul_views Leakage.default_model rng ~x ~known in

@@ -56,7 +56,7 @@ let () =
   let x = 0xC06017BC8036B580L in
   let known =
     Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re ~count
-      ~seed:"ntt vs fft"
+      ~seed:"ntt vs fft" ()
   in
   let v = Attack.Workload.mul_views model rng ~x ~known in
   let xu = Fpr.mantissa x lor (1 lsl 52) in

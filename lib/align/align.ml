@@ -220,13 +220,12 @@ let anchor_of relative =
 
 let clamp max_shift s = max (-max_shift) (min max_shift s)
 
-let realign_rows ?ctx ?(max_shift = 3) ?window ~fill rows =
+let realign_rows ?(ctx = Attack.Ctx.default) ?(max_shift = 3) ?window ~fill rows =
   if max_shift < 0 then invalid_arg "Align.realign_rows: max_shift < 0";
   let d = Array.length rows in
   if d = 0 then (rows, zero_stats)
   else begin
-    let c = Attack.Ctx.or_default ctx in
-    let obs = c.Attack.Ctx.obs in
+    let obs = ctx.Attack.Ctx.obs in
     Obs.span obs "align.realign" ~fields:[ ("traces", Obs.Int d) ]
     @@ fun () ->
     let width = Array.length rows.(0) in
@@ -234,14 +233,14 @@ let realign_rows ?ctx ?(max_shift = 3) ?window ~fill rows =
     let reference = bootstrap_reference ~lo ~hi ~max_shift rows in
     let range = search_range max_shift in
     let relative =
-      Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+      Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
         (estimate ~reference ~lo ~max_shift:range)
         rows
     in
     let anchor = anchor_of relative in
     let shifts = Array.map (fun r -> clamp max_shift (r - anchor)) relative in
     let out =
-      Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+      Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
         (fun i -> shift_samples ~fill ~shift:shifts.(i) rows.(i))
         (Array.init d Fun.id)
     in
@@ -250,24 +249,23 @@ let realign_rows ?ctx ?(max_shift = 3) ?window ~fill rows =
     (out, st)
   end
 
-let realign_matched ?ctx ?(max_shift = 3) ~fill ~templates rows =
+let realign_matched ?(ctx = Attack.Ctx.default) ?(max_shift = 3) ~fill ~templates rows =
   if max_shift < 0 then invalid_arg "Align.realign_matched: max_shift < 0";
   let d = Array.length rows in
   if d <> Array.length templates then
     invalid_arg "Align.realign_matched: one template per row required";
   if d = 0 then (rows, zero_stats)
   else begin
-    let c = Attack.Ctx.or_default ctx in
-    let obs = c.Attack.Ctx.obs in
+    let obs = ctx.Attack.Ctx.obs in
     Obs.span obs "align.realign_matched" ~fields:[ ("traces", Obs.Int d) ]
     @@ fun () ->
     let shifts =
-      Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+      Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
         (fun i -> estimate_matched ~template:templates.(i) ~max_shift rows.(i))
         (Array.init d Fun.id)
     in
     let out =
-      Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+      Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
         (fun i -> shift_samples ~fill ~shift:shifts.(i) rows.(i))
         (Array.init d Fun.id)
     in
@@ -305,17 +303,14 @@ let bootstrap_rows ~reference_traces reader =
    with Exit -> ());
   if !d = 0 then None else Some (Array.of_list (List.rev !rows))
 
-let realign_store ?ctx ?access ?(max_shift = 3) ?window ?(reference_traces = 64) ~src
-    ~dst () =
+let realign_store ?(ctx = Attack.Ctx.default) ?(max_shift = 3) ?window
+    ?(reference_traces = 64) ~src ~dst () =
   if max_shift < 0 then invalid_arg "Align.realign_store: max_shift < 0";
-  let c = Attack.Ctx.or_default ctx in
-  let obs = c.Attack.Ctx.obs in
+  let obs = ctx.Attack.Ctx.obs in
   Obs.span obs "align.realign_store"
     ~fields:[ ("src", Obs.Str src); ("dst", Obs.Str dst) ]
   @@ fun () ->
-  let reader =
-    Tracestore.Reader.open_store ~policy:c.Attack.Ctx.on_corrupt ?access src
-  in
+  let reader = Tracestore.Reader.open_store ~policy:ctx.Attack.Ctx.on_corrupt src in
   let meta = Tracestore.Reader.meta reader in
   let width = meta.Tracestore.width in
   let fill = meta.Tracestore.model.Tracestore.baseline in
@@ -339,7 +334,7 @@ let realign_store ?ctx ?access ?(max_shift = 3) ?window ?(reference_traces = 64)
          shift (a handful of bytes per trace — the out-of-core property
          survives), then anchor. *)
       let relative =
-        let feed = Attack.Dema.Stream.shard_feed ~ctx:c reader in
+        let feed = Attack.Dema.Stream.shard_feed ~ctx reader in
         Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
         let acc = ref [] in
         let rec loop () =
@@ -347,7 +342,7 @@ let realign_store ?ctx ?access ?(max_shift = 3) ?window ?(reference_traces = 64)
           | None -> ()
           | Some batch ->
               let rel =
-                Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+                Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
                   (fun (t : Leakage.trace) ->
                     estimate ~reference ~lo ~max_shift:range t.Leakage.samples)
                   batch
@@ -368,7 +363,7 @@ let realign_store ?ctx ?access ?(max_shift = 3) ?window ?(reference_traces = 64)
            corrected campaign.  The two passes see the same surviving
            shards — the store is immutable — so index i in [shifts]
            is trace i of this pass too. *)
-        let feed = Attack.Dema.Stream.shard_feed ~ctx:c reader in
+        let feed = Attack.Dema.Stream.shard_feed ~ctx reader in
         Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
         let i = ref 0 in
         let rec loop () =
@@ -378,7 +373,7 @@ let realign_store ?ctx ?access ?(max_shift = 3) ?window ?(reference_traces = 64)
               let base = !i in
               i := base + Array.length batch;
               let out =
-                Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+                Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
                   (fun k ->
                     let t = batch.(k) in
                     let s = shifts.(base + k) in

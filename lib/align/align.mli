@@ -117,7 +117,6 @@ val realign_matched :
 
 val realign_store :
   ?ctx:Attack.Ctx.t ->
-  ?access:[ `Auto | `Mmap | `Read ] ->
   ?max_shift:int ->
   ?window:int * int ->
   ?reference_traces:int ->
@@ -129,9 +128,9 @@ val realign_store :
     bootstrap reference is built in memory from the first
     [?reference_traces] (default 64) stored traces; the store then
     streams twice through {!Attack.Dema.Stream.shard_feed} (honouring
-    [ctx.on_corrupt] and [?access] exactly as the analysis readers
-    do) — once to estimate every relative shift (a few bytes
-    per trace held in memory, so the out-of-core property survives)
+    [ctx.on_corrupt] exactly as the analysis readers do) — once to
+    estimate every relative shift (a few bytes per trace held in
+    memory, so the out-of-core property survives)
     and, after anchoring, once to write the corrected campaign to a
     fresh store at [dst] with the same metadata, the store's recorded
     baseline as fill.  Sidecar files ([public.key], [secret.key],

@@ -182,12 +182,11 @@ let hqc_profiled_ctx ~ctx ~sigma ~budget ~seed =
   let store = Attack.Profile.train spec ~targets feed in
   Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) ctx
 
-let run ?ctx ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
+let run ?(ctx = Attack.Ctx.default) ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
     ?(conditions = [ Campaign.baseline_condition ])
     ?(distinguishers = [ "pearson" ]) ?(progress = fun _ -> ())
     ~sigmas ~budgets ~experiments ~decoys ~seed () =
-  let c = Attack.Ctx.or_default ctx in
-  let obs = c.Attack.Ctx.obs in
+  let obs = ctx.Attack.Ctx.obs in
   if targets = [] then invalid_arg "Assess.Matrix: empty target axis";
   List.iter
     (fun t ->
@@ -244,9 +243,9 @@ let run ?ctx ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
                         @@ fun () ->
                         let cell_ctx =
                           if dist = "profiled" then
-                            falcon_profiled_ctx ~ctx:c ~condition defense
+                            falcon_profiled_ctx ~ctx ~condition defense
                               ~sigma ~budget ~experiments ~seed:cell_seed
-                          else c
+                          else ctx
                         in
                         let outcome =
                           Metrics.run ~ctx:cell_ctx ~condition
@@ -254,7 +253,7 @@ let run ?ctx ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
                               experiments; decoys; seed = cell_seed }
                         in
                         let max_t1, max_t1_sample, max_t2, rvr_max_t1 =
-                          assess_cell ~ctx:c ~condition defense ~sigma ~budget
+                          assess_cell ~ctx ~condition defense ~sigma ~budget
                             ~seed:(cell_seed + 17)
                         in
                         let cell =
@@ -303,9 +302,9 @@ let run ?ctx ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
                 @@ fun () ->
                 let cell_ctx =
                   if dist = "profiled" then
-                    hqc_profiled_ctx ~ctx:c ~sigma ~budget
+                    hqc_profiled_ctx ~ctx ~sigma ~budget
                       ~seed:(cell_seed + 4099)
-                  else c
+                  else ctx
                 in
                 let outcome =
                   Metrics.run_hqc ~ctx:cell_ctx
@@ -313,7 +312,7 @@ let run ?ctx ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
                       seed = cell_seed }
                 in
                 let max_t1, max_t1_sample, max_t2, rvr_max_t1 =
-                  assess_hqc_cell ~ctx:c ~sigma ~budget ~seed:(cell_seed + 17)
+                  assess_hqc_cell ~ctx ~sigma ~budget ~seed:(cell_seed + 17)
                 in
                 let cell =
                   {

@@ -92,15 +92,14 @@ let profiled_mtd ~ctx ~parts ~known ~truth ~step ~candidates traces =
    different secret/seed) with known truth, classed by the low-stage
    models applied to the true low mantissa half — exactly the
    intermediates the profiled ranking and [profiled_mtd] score. *)
-let profile_entries ?ctx ?(condition = Campaign.baseline_condition)
+let profile_entries ?(ctx = Attack.Ctx.default) ?(condition = Campaign.baseline_condition)
     ~defense ~truth entries =
-  let c = Attack.Ctx.or_default ctx in
-  Obs.span c.Attack.Ctx.obs "metrics.profile" @@ fun () ->
+  Obs.span ctx.Attack.Ctx.obs "metrics.profile" @@ fun () ->
   let fixed =
     Array.of_seq
       (Seq.filter (fun e -> e.Campaign.cls = Campaign.Fixed) (Array.to_seq entries))
   in
-  let fixed, _ = Campaign.realign_entries ~ctx:c condition defense fixed in
+  let fixed, _ = Campaign.realign_entries ~ctx condition defense fixed in
   let leakage = (condition.Campaign.kind :> Attack.Recover.leakage) in
   let d_true = Fpr.mantissa truth land m25 in
   if d_true = 0 then
@@ -128,11 +127,10 @@ let profile_entries ?ctx ?(condition = Campaign.baseline_condition)
   in
   Attack.Profile.train spec ~targets feed
 
-let of_entries ?ctx ?(stop_alpha = default_stop_alpha)
+let of_entries ?(ctx = Attack.Ctx.default) ?(stop_alpha = default_stop_alpha)
     ?(condition = Campaign.baseline_condition) ~defense ~truth ~experiments
     ~decoys ~seed entries =
-  let c = Attack.Ctx.or_default ctx in
-  let obs = c.Attack.Ctx.obs in
+  let obs = ctx.Attack.Ctx.obs in
   Obs.span obs "metrics.of_entries"
     ~fields:[ ("experiments", Obs.Int experiments); ("decoys", Obs.Int decoys) ]
   @@ fun () ->
@@ -145,7 +143,7 @@ let of_entries ?ctx ?(stop_alpha = default_stop_alpha)
   (* the analysis-side half of the condition: realign the campaign's
      whole fixed class before slicing into experiments, like an
      evaluator post-processing one acquisition *)
-  let fixed, _ = Campaign.realign_entries ~ctx:c condition defense fixed in
+  let fixed, _ = Campaign.realign_entries ~ctx condition defense fixed in
   let leakage = (condition.Campaign.kind :> Attack.Recover.leakage) in
   let per = Array.length fixed / experiments in
   if per < 8 then
@@ -204,7 +202,7 @@ let of_entries ?ctx ?(stop_alpha = default_stop_alpha)
        buffered child context, drained in experiment order after the
        join. *)
     let child = Obs.buffered obs in
-    let ectx = Attack.Ctx.with_obs child (Attack.Ctx.sequential c) in
+    let ectx = Attack.Ctx.with_obs child (Attack.Ctx.sequential ctx) in
     let res =
       Obs.span child "metrics.experiment" ~fields:[ ("experiment", Obs.Int i) ]
         (fun () ->
@@ -221,7 +219,7 @@ let of_entries ?ctx ?(stop_alpha = default_stop_alpha)
       find 1 res.Attack.Recover.pruned
     in
     let mtd, mtd_conf =
-      if Attack.Distinguisher.is_profiled c.Attack.Ctx.backend then
+      if Attack.Distinguisher.is_profiled ctx.Attack.Ctx.backend then
         let extend, prune = Attack.Recover.low_stages leakage in
         let parts =
           List.map
@@ -248,7 +246,7 @@ let of_entries ?ctx ?(stop_alpha = default_stop_alpha)
     (rank, mtd, mtd_conf, child)
   in
   let results =
-    Parallel.map_array ~jobs:c.Attack.Ctx.jobs run_one
+    Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs run_one
       (Array.init experiments Fun.id)
   in
   Array.iter (fun (_, _, _, child) -> Obs.drain ~into:obs child) results;
@@ -281,10 +279,9 @@ let run ?ctx ?stop_alpha ?condition config =
 
 type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
-let run_hqc ?ctx ?(stop_alpha = default_stop_alpha) config =
+let run_hqc ?(ctx = Attack.Ctx.default) ?(stop_alpha = default_stop_alpha) config =
   let { noise; budget; experiments; seed } = config in
-  let c = Attack.Ctx.or_default ctx in
-  let obs = c.Attack.Ctx.obs in
+  let obs = ctx.Attack.Ctx.obs in
   Obs.span obs "metrics.hqc"
     ~fields:[ ("experiments", Obs.Int experiments); ("budget", Obs.Int budget) ]
   @@ fun () ->
@@ -304,7 +301,7 @@ let run_hqc ?ctx ?(stop_alpha = default_stop_alpha) config =
     in
     let known = Array.map Hqc.u_of_record records in
     let child = Obs.buffered obs in
-    let ectx = Attack.Ctx.with_obs child (Attack.Ctx.sequential c) in
+    let ectx = Attack.Ctx.with_obs child (Attack.Ctx.sequential ctx) in
     let rank = ref 1 in
     (try
        for j = 0 to Hqc.Params.weight - 1 do
@@ -334,7 +331,7 @@ let run_hqc ?ctx ?(stop_alpha = default_stop_alpha) config =
      with Exit -> ());
     let parts0 = Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||] in
     let mtd, mtd_conf =
-      if Attack.Distinguisher.is_profiled c.Attack.Ctx.backend then
+      if Attack.Distinguisher.is_profiled ctx.Attack.Ctx.backend then
         ( profiled_mtd ~ctx:ectx ~parts:parts0 ~known ~truth:secret.(0) ~step
             ~candidates:
               (Array.of_seq
@@ -361,7 +358,7 @@ let run_hqc ?ctx ?(stop_alpha = default_stop_alpha) config =
     (!rank, mtd, mtd_conf, child)
   in
   let results =
-    Parallel.map_array ~jobs:c.Attack.Ctx.jobs run_one (Array.init experiments Fun.id)
+    Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs run_one (Array.init experiments Fun.id)
   in
   Array.iter (fun (_, _, _, child) -> Obs.drain ~into:obs child) results;
   aggregate

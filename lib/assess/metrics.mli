@@ -36,7 +36,7 @@
     {!Attack.Recover.attack_mantissa_low} and therefore inherits the
     blocked {!Stats.Pearson.Batch} distinguisher kernel; because that
     kernel is bit-identical to the scalar path, every SR/GE/MTD figure
-    is unchanged by the backend (or by [FD_PEARSON=scalar]).
+    is unchanged by the Pearson kernel.
 
     [?ctx] ({!Attack.Ctx.t}) bundles [jobs], the backend and an
     observability context; each experiment runs under a buffered child

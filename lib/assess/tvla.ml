@@ -20,9 +20,10 @@ let default_chunk = 256
 
 module M = Stats.Welford.Moments
 
-let fold_moments ?ctx ?(chunk = default_chunk) ~width ~classify ~samples seq =
+let fold_moments ?(ctx = Attack.Ctx.default) ?(chunk = default_chunk) ~width ~classify
+    ~samples seq =
   if chunk < 1 then invalid_arg "Assess.Tvla: chunk must be positive";
-  let jobs = (Attack.Ctx.or_default ctx).Attack.Ctx.jobs in
+  let jobs = ctx.Attack.Ctx.jobs in
   let fresh () = Array.init width (fun _ -> M.create ()) in
   let partials =
     Parallel.map_chunks ~jobs ~chunk
@@ -66,11 +67,10 @@ let welch_cs2 ma mb =
   Stats.Signif.welch_t ~mean_a:(e ma) ~var_a:(v ma) ~n_a:(M.count ma) ~mean_b:(e mb)
     ~var_b:(v mb) ~n_b:(M.count mb)
 
-let assess ?ctx ?chunk ~width ~classify ~samples seq =
-  let c = Attack.Ctx.or_default ctx in
-  let obs = c.Attack.Ctx.obs in
+let assess ?(ctx = Attack.Ctx.default) ?chunk ~width ~classify ~samples seq =
+  let obs = ctx.Attack.Ctx.obs in
   Obs.span obs "tvla.assess" ~fields:[ ("width", Obs.Int width) ] @@ fun () ->
-  let a, b = fold_moments ~ctx:c ?chunk ~width ~classify ~samples seq in
+  let a, b = fold_moments ~ctx ?chunk ~width ~classify ~samples seq in
   let r =
     {
       width;
@@ -115,12 +115,12 @@ let of_store ?ctx ?chunk ~classify reader =
 
 module W = Stats.Welford
 
-let pair_stats ?ctx ?(chunk = default_chunk) ~pairs ~mean_a ~mean_b ~classify
-    ~samples seq =
+let pair_stats ?(ctx = Attack.Ctx.default) ?(chunk = default_chunk) ~pairs ~mean_a
+    ~mean_b ~classify ~samples seq =
   let np = Array.length pairs in
   if np = 0 then [||]
   else begin
-    let jobs = (Attack.Ctx.or_default ctx).Attack.Ctx.jobs in
+    let jobs = ctx.Attack.Ctx.jobs in
     let fresh () = Array.init np (fun _ -> W.create ()) in
     let partials =
       Parallel.map_chunks ~jobs ~chunk

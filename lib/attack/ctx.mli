@@ -4,9 +4,9 @@
     selection, observability, the leakage family and the corrupt-shard
     policy — lives in one record that entry points accept as [?ctx]
     (omitted: {!default}).  [Ctx.t] is the only configuration carrier:
-    no entry point takes a per-field optional beside it, so callers
-    build a context once with {!make} or the [with_*] builders and hand
-    it down the whole pipeline. *)
+    no entry point takes a per-field optional beside it and no process
+    state fills one in, so a run computes with exactly the context its
+    caller built with {!make} or the [with_*] builders. *)
 
 type t = {
   jobs : int;  (** worker domains for [Parallel] sweeps (>= 1) *)
@@ -18,15 +18,9 @@ type t = {
       (** streaming corrupt-shard policy; loud [`Fail] by default *)
 }
 
-val default : unit -> t
-(** The process-wide defaults as of the call: [Parallel.default_jobs]
-    (so a CLI's [Parallel.set_default_jobs] is honoured),
-    {!Distinguisher.default} (which honours [FD_PEARSON]), [Obs.null],
-    [`Hw], [`Fail].  A function, not a constant, because those defaults
-    are mutable. *)
-
-val or_default : t option -> t
-(** The entry-point idiom: the given context, else {!default}. *)
+val default : t
+(** One sequential worker, [Pearson_batched], [Obs.null], [`Hw],
+    [`Fail]. *)
 
 val make :
   ?jobs:int ->
@@ -43,7 +37,6 @@ val with_jobs : int -> t -> t
 val with_backend : Distinguisher.selection -> t -> t
 val with_obs : Obs.t -> t -> t
 val with_leakage : [ `Hw | `Hd ] -> t -> t
-val with_on_corrupt : [ `Fail | `Skip ] -> t -> t
 
 val sequential : t -> t
 (** [with_jobs 1], for handing a context to per-task inner work that

@@ -511,9 +511,7 @@ module Chunked = struct
           let off = c * sweep_chunk in
           B.acc (Array.sub guesses off (min sweep_chunk (g - off))))
     in
-    let over ~jobs f =
-      Parallel.map_array ~jobs:(max 1 (min jobs (Array.length accs))) f accs
-    in
+    let over ~jobs f = Parallel.map_array ~jobs f accs in
     {
       needs = B.needs;
       traces = B.traces;
@@ -528,15 +526,14 @@ module Chunked = struct
     }
 end
 
-let rank ?ctx ~traces ~parts ~known ~top candidates =
-  let c = Ctx.or_default ctx in
-  let obs = c.Ctx.obs in
+let rank ?(ctx = Ctx.default) ~traces ~parts ~known ~top candidates =
+  let obs = ctx.Ctx.obs in
   let d = Array.length traces in
   let nparts = List.length parts in
   let run () =
-    let b = bind ~shared:true c.Ctx.backend parts in
+    let b = bind ~shared:true ctx.Ctx.backend parts in
     let batch = batch_of (needs_of b) ~len:d ~get:(fun i s -> traces.(i).(s)) known in
-    let result, n = drive ~ctx:c ~what:"Dema.rank" b ~top [ batch ] candidates in
+    let result, n = drive ~ctx ~what:"Dema.rank" b ~top [ batch ] candidates in
     (* one correlation = ~6 flops/trace (centre, multiply-accumulate,
        normalise amortised); a per-sweep order-of-magnitude estimate *)
     Obs.gauge obs "dema.flops_est"
@@ -550,26 +547,26 @@ let rank ?ctx ~traces ~parts ~known ~top candidates =
           ("traces", Obs.Int d);
           ("parts", Obs.Int nparts);
           ("top", Obs.Int top);
-          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
-          ("jobs", Obs.Int c.Ctx.jobs);
+          ("backend", Obs.Str (Distinguisher.name ctx.Ctx.backend));
+          ("jobs", Obs.Int ctx.Ctx.jobs);
         ]
       run
   else run ()
 
-let rank_absolute ?ctx ~traces ~parts ~known ~top ~alpha ~baseline candidates =
-  let c = Ctx.or_default ctx in
+let rank_absolute ?(ctx = Ctx.default) ~traces ~parts ~known ~top ~alpha ~baseline
+    candidates =
   let d = Array.length traces in
-  Obs.span c.Ctx.obs "dema.rank_absolute"
+  Obs.span ctx.Ctx.obs "dema.rank_absolute"
     ~fields:
       [
         ("traces", Obs.Int d);
         ("top", Obs.Int top);
-        ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
+        ("backend", Obs.Str (Distinguisher.name ctx.Ctx.backend));
       ]
     (fun () ->
       let b = absolute ~alpha ~baseline parts in
       let batch = batch_of (needs_of b) ~len:d ~get:(fun i s -> traces.(i).(s)) known in
-      fst (drive ~ctx:c ~what:"Dema.rank_absolute" b ~top [ batch ] candidates))
+      fst (drive ~ctx ~what:"Dema.rank_absolute" b ~top [ batch ] candidates))
 
 (* ---- sequential early-stopping rank ---- *)
 
@@ -597,20 +594,19 @@ module Sweep = struct
 
   let n t = t.st.Chunked.traces ()
 
-  let fold ?jobs t segs =
-    t.st.Chunked.fold ~jobs:(Parallel.resolve jobs)
-      (Array.map (fun (col, ks) -> ([| col |], ks)) segs)
+  let fold ~jobs t segs =
+    t.st.Chunked.fold ~jobs (Array.map (fun (col, ks) -> ([| col |], ks)) segs)
 
-  let scores ?jobs t = t.st.Chunked.scores ~jobs:(Parallel.resolve jobs)
+  let scores ~jobs t = t.st.Chunked.scores ~jobs
 
-  let ranking ?jobs t ~top =
-    Topk.to_list (Topk.of_scores top t.candidates (scores ?jobs t))
+  let ranking ~jobs t ~top =
+    Topk.to_list (Topk.of_scores top t.candidates (scores ~jobs t))
 
   (* Top-1 vs runner-up under the deterministic total order, reported as
      mean |r| over parts so the statistic lives in [0, 1] like a single
      correlation — what the Fisher-z decision rules expect. *)
-  let leaders ?jobs t =
-    let sc = scores ?jobs t in
+  let leaders ~jobs t =
+    let sc = scores ~jobs t in
     let best = ref 0 in
     let second = ref (-1) in
     let better a b =
@@ -677,8 +673,8 @@ let run_until ~ctx ~what ~spec ~total ~top ~parts ~feed candidates =
     looks = r.Sequential.Campaign.looks;
   }
 
-let rank_until ?ctx ~spec ?(batch = 64) ~traces ~parts ~known ~top candidates =
-  let c = Ctx.or_default ctx in
+let rank_until ?(ctx = Ctx.default) ~spec ?(batch = 64) ~traces ~parts ~known ~top
+    candidates =
   if batch < 1 then invalid_arg "Dema.rank_until: batch must be >= 1";
   let total = Array.length traces in
   let pos = ref 0 in
@@ -694,7 +690,7 @@ let rank_until ?ctx ~spec ?(batch = 64) ~traces ~parts ~known ~top candidates =
            (Array.sub known off len))
     end
   in
-  run_until ~ctx:c ~what:"Dema.rank_until" ~spec ~total ~top ~parts ~feed candidates
+  run_until ~ctx ~what:"Dema.rank_until" ~spec ~total ~top ~parts ~feed candidates
 
 (* ---- streaming engine over an on-disk trace store ----
 
@@ -793,11 +789,10 @@ module Stream = struct
     end;
     results
 
-  let extract ?ctx ?codec reader ~samples ~known =
-    let c = Ctx.or_default ctx in
+  let extract ?(ctx = Ctx.default) ?codec reader ~samples ~known =
     let samples = Array.of_list samples in
     let pieces =
-      map_shards ~ctx:c ?codec reader (fun _ traces ->
+      map_shards ~ctx ?codec reader (fun _ traces ->
           ( Array.map
               (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
               traces,
@@ -816,23 +811,22 @@ module Stream = struct
      one segment of per-part columns, and the in-memory driver folds the
      segments in shard order — bit-identical to [Dema.rank] on the
      extracted campaign at every [jobs] and distinguisher. *)
-  let rank ?ctx ?codec reader ~parts ~known ~top candidates =
-    let c = Ctx.or_default ctx in
-    let obs = c.Ctx.obs in
+  let rank ?(ctx = Ctx.default) ?codec reader ~parts ~known ~top candidates =
+    let obs = ctx.Ctx.obs in
     Obs.span obs "dema.stream.rank"
       ~fields:
         [
           ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
-          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
+          ("backend", Obs.Str (Distinguisher.name ctx.Ctx.backend));
         ]
       (fun () ->
-        let b = bind ~shared:true c.Ctx.backend parts in
+        let b = bind ~shared:true ctx.Ctx.backend parts in
         let batches =
           Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
-              map_shards ~ctx:c ?codec reader (fun _ tr ->
+              map_shards ~ctx ?codec reader (fun _ tr ->
                   shard_batch (needs_of b) ~known tr))
         in
-        fst (drive ~ctx:c ~what:"Dema.Stream.rank" b ~top batches candidates))
+        fst (drive ~ctx ~what:"Dema.Stream.rank" b ~top batches candidates))
 
   (* Pull-based shard feed for adaptive campaigns: decoded strictly in
      shard order, one at a time — the caller consumes at its own pace
@@ -845,9 +839,8 @@ module Stream = struct
     skipped : unit -> int;
   }
 
-  let shard_feed ?ctx ?(codec = falcon_codec) ?max_traces reader =
-    let c = Ctx.or_default ctx in
-    let obs = c.Ctx.obs in
+  let shard_feed ?(ctx = Ctx.default) ?(codec = falcon_codec) ?max_traces reader =
+    let obs = ctx.Ctx.obs in
     let m = check_meta codec reader in
     let shards = Tracestore.Reader.shard_count reader in
     let cap =
@@ -865,7 +858,7 @@ module Stream = struct
     let rec next () =
       if !delivered >= cap || !idx >= shards then None
       else begin
-        let cur = fetch ~on_corrupt:c.Ctx.on_corrupt ~codec m reader !idx in
+        let cur = fetch ~on_corrupt:ctx.Ctx.on_corrupt ~codec m reader !idx in
         incr idx;
         match cur with
         | None ->
@@ -904,25 +897,24 @@ module Stream = struct
      tester looks after each shard per the spec's schedule and the pull
      stops at the stopping point.  Fed to exhaustion it returns [rank]'s
      exact ranking. *)
-  let rank_until ?ctx ?codec ~spec ?max_traces reader ~parts ~known ~top candidates =
-    let c = Ctx.or_default ctx in
-    let fd = shard_feed ~ctx:c ?codec ?max_traces reader in
+  let rank_until ?(ctx = Ctx.default) ?codec ~spec ?max_traces reader ~parts ~known ~top
+      candidates =
+    let fd = shard_feed ~ctx ?codec ?max_traces reader in
     let feed needs () = Option.map (shard_batch needs ~known) (fd.next ()) in
     Fun.protect ~finally:fd.close (fun () ->
-        Obs.span c.Ctx.obs "dema.stream.rank_until"
+        Obs.span ctx.Ctx.obs "dema.stream.rank_until"
           ~fields:
             [
               ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
               ("total", Obs.Int fd.total);
-              ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
-              ("jobs", Obs.Int c.Ctx.jobs);
+              ("backend", Obs.Str (Distinguisher.name ctx.Ctx.backend));
+              ("jobs", Obs.Int ctx.Ctx.jobs);
             ]
           (fun () ->
-            run_until ~ctx:c ~what:"Dema.Stream.rank_until" ~spec ~total:fd.total ~top
+            run_until ~ctx ~what:"Dema.Stream.rank_until" ~spec ~total:fd.total ~top
               ~parts ~feed candidates))
 
-  let evolution ?ctx ?codec reader ~sample ~model ~known ~guess =
-    let c = Ctx.or_default ctx in
+  let evolution ?(ctx = Ctx.default) ?codec reader ~sample ~model ~known ~guess =
     let tot = Tracestore.Reader.total_traces reader in
     check_traces ~what:"Dema.Stream.evolution" tot;
     (* below 4 traces the correlation (and any Fisher-z band on it) is
@@ -931,9 +923,9 @@ module Stream = struct
     if tot <= 3 then
       Obs.count ~level:Obs.Error
         ~fields:[ ("traces", Obs.Int tot) ]
-        c.Ctx.obs "dema.degenerate_evolution" 1;
+        ctx.Ctx.obs "dema.degenerate_evolution" 1;
     let per_shard =
-      map_shards ~ctx:c ?codec reader (fun _ traces ->
+      map_shards ~ctx ?codec reader (fun _ traces ->
           let acc = Stats.Welford.Cov.create () in
           Array.iter
             (fun (t : Leakage.trace) ->
@@ -958,18 +950,17 @@ module Stream = struct
     List.rev checkpoints
 end
 
-let corr_time ?ctx ~traces ~model ~known ~guesses () =
-  let c = Ctx.or_default ctx in
-  Obs.span c.Ctx.obs "dema.corr_time"
+let corr_time ?(ctx = Ctx.default) ~traces ~model ~known ~guesses () =
+  Obs.span ctx.Ctx.obs "dema.corr_time"
     ~fields:
       [
         ("guesses", Obs.Int (Array.length guesses));
-        ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
+        ("backend", Obs.Str (Distinguisher.name ctx.Ctx.backend));
       ]
     (fun () ->
       (* a correlation-vs-time matrix is Pearson by definition; a
          [Profiled] selection maps to the scalar kernel via {!Ctx.kernel} *)
-      match Ctx.kernel c with
+      match Ctx.kernel ctx with
       | Stats.Pearson.Batch.Scalar ->
           let hyps = Array.map (hyp_vector ~model ~known) guesses in
           Stats.Pearson.corr_matrix ~traces ~hyps
@@ -997,6 +988,6 @@ let distinguisher sel : (module Distinguisher.S) =
 
     let create ~parts ~guesses = Chunked.create (bind ~shared:false sel parts) guesses
     let needs st = st.Chunked.needs
-    let fold ?jobs st batch = st.Chunked.fold ~jobs:(Parallel.resolve jobs) batch
-    let finalize ?jobs st = st.Chunked.scores ~jobs:(Parallel.resolve jobs)
+    let fold ~jobs st batch = st.Chunked.fold ~jobs batch
+    let finalize ~jobs st = st.Chunked.scores ~jobs
   end)

@@ -58,11 +58,10 @@ val rank :
     {!compare_scored}.  A part's {!Hypothesis.Model.t} predicts the
     integer intermediate of a trace whose known operand is [y].
 
-    The Pearson selection of [ctx] (default
-    {!Stats.Pearson.Batch.default_backend}, i.e. the batched kernel
-    unless [FD_PEARSON=scalar]) picks between the scalar reference loop
-    and the fused kernel ({!Stats.Pearson.Batch.Fused}) that generates
-    hypothesis intermediates on the fly inside register tiles — no
+    The Pearson selection of [ctx] (default [Pearson_batched]) picks
+    between the scalar reference loop and the fused kernel
+    ({!Stats.Pearson.Batch.Fused}) that generates hypothesis
+    intermediates on the fly inside register tiles — no
     per-guess vectors, no [G x D] block.  Consecutive parts sharing one
     model value (physical equality) are scored from a single generated
     stream, and {!Hypothesis.Model.Split} models additionally hoist the
@@ -133,20 +132,20 @@ module Sweep : sig
   val n : 'k t -> int
   (** Traces folded so far. *)
 
-  val fold : ?jobs:int -> 'k t -> (float array * 'k array) array -> unit
+  val fold : jobs:int -> 'k t -> (float array * 'k array) array -> unit
   (** One batch: element [j] is part [j]'s (column segment, known
       operands), all of one equal length.  Raises [Invalid_argument] on
       a ragged or mis-sized batch. *)
 
-  val scores : ?jobs:int -> 'k t -> float array
+  val scores : jobs:int -> 'k t -> float array
   (** Per-candidate sum over parts of |r| over everything folded so
       far, with the fixed-budget sweeps' exact epilogue.  Raises
       [Failure] before the first trace is folded. *)
 
-  val ranking : ?jobs:int -> 'k t -> top:int -> scored list
+  val ranking : jobs:int -> 'k t -> top:int -> scored list
   (** Top-[top] of {!scores} under {!compare_scored}. *)
 
-  val leaders : ?jobs:int -> 'k t -> Sequential.Campaign.leaders
+  val leaders : jobs:int -> 'k t -> Sequential.Campaign.leaders
   (** Top-1 vs runner-up under {!compare_scored}, reported as mean |r|
       over parts (so the statistic lives in [0,1] like a single
       correlation — what the Fisher-z decision rules expect). *)

@@ -16,11 +16,6 @@ let name = function
 let names = [ "scalar"; "batched"; "profiled" ]
 let is_profiled = function Profiled _ -> true | _ -> false
 
-let default () =
-  match Stats.Pearson.Batch.default_backend () with
-  | Stats.Pearson.Batch.Scalar -> Pearson_scalar
-  | Stats.Pearson.Batch.Batched -> Pearson_batched
-
 module type S = sig
   val name : string
 
@@ -30,6 +25,6 @@ module type S = sig
     parts:(int * 'k Hypothesis.Model.t) list -> guesses:int array -> 'k state
 
   val needs : 'k state -> int list list
-  val fold : ?jobs:int -> 'k state -> (float array array * 'k array) array -> unit
-  val finalize : ?jobs:int -> 'k state -> float array
+  val fold : jobs:int -> 'k state -> (float array array * 'k array) array -> unit
+  val finalize : jobs:int -> 'k state -> float array
 end

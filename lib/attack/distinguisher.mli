@@ -2,7 +2,8 @@
 
     A {!selection} names {e which} distinguisher scores a sweep: one of
     the two Pearson kernels of Eq. (1) ({!Stats.Pearson.Batch.backend})
-    or a profiled template store.  {!Ctx.t} carries a [selection].
+    or a profiled template store.  {!Ctx.t} carries a [selection]
+    ([Pearson_batched] in {!Ctx.default}); nothing else chooses one.
 
     {b The streaming contract} ({!S}): a distinguisher instance is
     created from a part set and a fixed guess array, declares which
@@ -38,11 +39,6 @@ val names : string list
 
 val is_profiled : selection -> bool
 
-val default : unit -> selection
-(** The process default: the Pearson instance of
-    [Stats.Pearson.Batch.default_backend ()], so [FD_PEARSON] selects
-    the Pearson kernel. *)
-
 (** The streaming distinguisher interface (prep / fold / finalize). *)
 module type S = sig
   val name : string
@@ -60,14 +56,14 @@ module type S = sig
       exactly the part's own column; a profiled instance needs its
       template's points of interest. *)
 
-  val fold : ?jobs:int -> 'k state -> (float array array * 'k array) array -> unit
+  val fold : jobs:int -> 'k state -> (float array array * 'k array) array -> unit
   (** One batch: element [j] holds part [j]'s column segments (one
       [float array] per entry of [needs], all of one equal length) and
       the matching known operands.  Batches must arrive in global trace
       order; accumulation is deterministic at every [jobs].  Raises
       [Invalid_argument] on a ragged or mis-shaped batch. *)
 
-  val finalize : ?jobs:int -> 'k state -> float array
+  val finalize : jobs:int -> 'k state -> float array
   (** Per-guess scores over everything folded so far (positionally
       matching the [create] guess array).  Pure with respect to the
       state — finalising twice, or finalising mid-stream at a look,

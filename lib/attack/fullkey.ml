@@ -56,12 +56,11 @@ let fan_tasks ~ctx ~n task =
   done;
   out
 
-let recover_f_fft ?ctx ~traces ~n strategy =
-  let c = Ctx.or_default ctx in
-  Obs.span c.Ctx.obs "fullkey.recover_f_fft"
-    ~fields:[ ("n", Obs.Int n); ("jobs", Obs.Int c.Ctx.jobs) ]
+let recover_f_fft ?(ctx = Ctx.default) ~traces ~n strategy =
+  Obs.span ctx.Ctx.obs "fullkey.recover_f_fft"
+    ~fields:[ ("n", Obs.Int n); ("jobs", Obs.Int ctx.Ctx.jobs) ]
   @@ fun () ->
-  fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
+  fan_tasks ~ctx ~n (fun ~tctx ~coeff ~component ->
       let views = Recover.views_for traces ~coeff ~component in
       Recover.coefficient ~ctx:tctx
         ~strategy:(strategy ~coeff ~mul:(mul_of component))
@@ -229,15 +228,15 @@ let campaign_unit ~backend strategy t b =
   in
   { Sequential.Campaign.fold = unit_fold b ~low ~high; leaders = unit_leaders ~low ~high }
 
-let recover_f_fft_store ?ctx ?stop ?max_traces ?stop_report ~reader strategy =
-  let c = Ctx.or_default ctx in
-  let obs = c.Ctx.obs in
+let recover_f_fft_store ?(ctx = Ctx.default) ?stop ?max_traces ?stop_report ~reader
+    strategy =
+  let obs = ctx.Ctx.obs in
   let n = (Tracestore.Reader.meta reader).Tracestore.n in
   Obs.span obs "fullkey.recover_f_fft_store"
     ~fields:
       [
         ("n", Obs.Int n);
-        ("jobs", Obs.Int c.Ctx.jobs);
+        ("jobs", Obs.Int ctx.Ctx.jobs);
         ("adaptive", Obs.Bool (stop <> None));
       ]
   @@ fun () ->
@@ -247,18 +246,18 @@ let recover_f_fft_store ?ctx ?stop ?max_traces ?stop_report ~reader strategy =
        transition takes the recovered d, so there is no high sweep to
        decide on.  Mirror the Exhaustive rejection rather than decide
        on a mismatched model. *)
-    if c.Ctx.leakage = `Hd then
+    if ctx.Ctx.leakage = `Hd then
       invalid_arg
         "Fullkey: ?stop is not available under `Hd leakage — the streaming \
          decision sweeps have no d-free Hamming-distance part set";
-    if Distinguisher.is_profiled c.Ctx.backend then
+    if Distinguisher.is_profiled ctx.Ctx.backend then
       invalid_arg
         "Fullkey: ?stop is not available under the profiled distinguisher — \
          the sequential gap testers are correlation statistics"
   end;
   let bufs =
     Obs.span obs "fullkey.store_pass" @@ fun () ->
-    let fd = Dema.Stream.shard_feed ~ctx:c ?max_traces reader in
+    let fd = Dema.Stream.shard_feed ~ctx ?max_traces reader in
     Fun.protect ~finally:fd.Dema.Stream.close @@ fun () ->
     let total = fd.Dema.Stream.total in
     let bufs = Array.init (2 * n) (buffer_create ~cap:total) in
@@ -273,9 +272,9 @@ let recover_f_fft_store ?ctx ?stop ?max_traces ?stop_report ~reader strategy =
         in
         loop ()
     | Some spec ->
-        let units = Array.mapi (campaign_unit ~backend:(Ctx.kernel c) strategy) bufs in
+        let units = Array.mapi (campaign_unit ~backend:(Ctx.kernel ctx) strategy) bufs in
         let results =
-          Sequential.Campaign.run ~jobs:c.Ctx.jobs ~obs ~spec ~total
+          Sequential.Campaign.run ~jobs:ctx.Ctx.jobs ~obs ~spec ~total
             ~feed:fd.Dema.Stream.next ~length:Array.length units
         in
         Option.iter
@@ -286,7 +285,7 @@ let recover_f_fft_store ?ctx ?stop ?max_traces ?stop_report ~reader strategy =
   (* the unchanged per-coefficient attack on each unit's buffered
      traces; a task drops its buffer once its views are built *)
   let slots = Array.map Option.some bufs in
-  fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
+  fan_tasks ~ctx ~n (fun ~tctx ~coeff ~component ->
       let t = (2 * coeff) + mul_of component in
       let views = buffer_views (Option.get slots.(t)) in
       slots.(t) <- None;

@@ -317,10 +317,10 @@ let hd_sign_exp_stage ~mant =
     (Fpr.Result_hi, Hypothesis.Model.fn (fun g y -> lo_word y lxor hi_word g y));
   ]
 
-let sign_exponent_multi ?ctx ?(exp_candidates = default_exponent_window) ~mant views =
-  let c = Ctx.or_default ctx in
-  let leakage = c.Ctx.leakage in
-  Obs.span c.Ctx.obs "recover.sign_exponent"
+let sign_exponent_multi ?(ctx = Ctx.default) ?(exp_candidates = default_exponent_window)
+    ~mant views =
+  let leakage = ctx.Ctx.leakage in
+  Obs.span ctx.Ctx.obs "recover.sign_exponent"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
   let alpha, baseline = calibrate_views ~leakage views in
@@ -347,7 +347,7 @@ let sign_exponent_multi ?ctx ?(exp_candidates = default_exponent_window) ~mant v
         ]
   in
   let ranked =
-    Dema.rank_absolute ~ctx:c ~traces ~parts:(spread_parts views stage) ~known:idx
+    Dema.rank_absolute ~ctx ~traces ~parts:(spread_parts views stage) ~known:idx
       ~top:8 ~alpha ~baseline candidates
   in
   match ranked with
@@ -357,15 +357,14 @@ let sign_exponent_multi ?ctx ?(exp_candidates = default_exponent_window) ~mant v
 let attack_sign_exponent ?ctx ?exp_candidates ~mant v =
   sign_exponent_multi ?ctx ?exp_candidates ~mant [ v ]
 
-let attack_exponent ?ctx ?candidates ~mant ~sign v =
-  let c = Ctx.or_default ctx in
+let attack_exponent ?(ctx = Ctx.default) ?candidates ~mant ~sign v =
   let candidates =
     match candidates with Some cs -> cs | None -> default_exponent_window
   in
-  Obs.span c.Ctx.obs "recover.exponent" @@ fun () ->
+  Obs.span ctx.Ctx.obs "recover.exponent" @@ fun () ->
   let alpha, baseline = calibrate_views [ v ] in
   let ranked =
-    Dema.rank_absolute ~ctx:c ~traces:v.traces
+    Dema.rank_absolute ~ctx ~traces:v.traces
       ~parts:
         [
           (sample Fpr.Exp_sum, p_exp);
@@ -430,13 +429,12 @@ let high_stages ~d = function
       ( [ (Fpr.Mant_w01, p_hd_w01 ~d); (Fpr.Mant_w11, p_hd_w11 ~d) ],
         [ (Fpr.Mant_z1, p_hd_z1 ~d); (Fpr.Mant_zhigh, p_hd_zhigh ~d) ] )
 
-let mantissa_low_multi ?ctx ?(top = 16) ~candidates views =
-  let c = Ctx.or_default ctx in
-  Obs.span c.Ctx.obs "recover.mantissa_low"
+let mantissa_low_multi ?(ctx = Ctx.default) ?(top = 16) ~candidates views =
+  Obs.span ctx.Ctx.obs "recover.mantissa_low"
     ~fields:[ ("part", Obs.Str "low25"); ("views", Obs.Int (List.length views)) ]
     (fun () ->
-      let extend_stage, prune_stage = low_stages c.Ctx.leakage in
-      extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
+      let extend_stage, prune_stage = low_stages ctx.Ctx.leakage in
+      extend_prune_multi ~ctx ~top ~candidates ~extend_stage ~prune_stage views)
 
 let attack_mantissa_low ?ctx ?top ~candidates v =
   mantissa_low_multi ?ctx ?top ~candidates [ v ]
@@ -446,13 +444,12 @@ let attack_mantissa_low_naive ?ctx ?(top = 16) ~candidates v =
     ~parts:[ (sample Fpr.Mant_w00, p_w00); (sample Fpr.Mant_w10, p_w10) ]
     ~known:v.known ~top candidates
 
-let mantissa_high_multi ?ctx ?(top = 16) ~candidates ~d views =
-  let c = Ctx.or_default ctx in
-  Obs.span c.Ctx.obs "recover.mantissa_high"
+let mantissa_high_multi ?(ctx = Ctx.default) ?(top = 16) ~candidates ~d views =
+  Obs.span ctx.Ctx.obs "recover.mantissa_high"
     ~fields:[ ("part", Obs.Str "high28"); ("views", Obs.Int (List.length views)) ]
     (fun () ->
-      let extend_stage, prune_stage = high_stages ~d c.Ctx.leakage in
-      extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
+      let extend_stage, prune_stage = high_stages ~d ctx.Ctx.leakage in
+      extend_prune_multi ~ctx ~top ~candidates ~extend_stage ~prune_stage views)
 
 let attack_mantissa_high ?ctx ?top ~candidates ~d v =
   mantissa_high_multi ?ctx ?top ~candidates ~d [ v ]
@@ -461,9 +458,8 @@ type strategy =
   | Exhaustive
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
 
-let coefficient ?ctx ~strategy views =
-  let c = Ctx.or_default ctx in
-  Obs.span c.Ctx.obs "recover.coefficient"
+let coefficient ?(ctx = Ctx.default) ~strategy views =
+  Obs.span ctx.Ctx.obs "recover.coefficient"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
   let low_cands, high_cands =
@@ -481,11 +477,11 @@ let coefficient ?ctx ~strategy views =
   in
   (* keep enough extend survivors that the truth cannot be displaced by
      its own alias class (up to ~25 exact ties for small D) plus noise *)
-  let low = mantissa_low_multi ~ctx:c ~top:32 ~candidates:low_cands views in
+  let low = mantissa_low_multi ~ctx ~top:32 ~candidates:low_cands views in
   let high =
-    mantissa_high_multi ~ctx:c ~top:32 ~candidates:high_cands ~d:low.winner views
+    mantissa_high_multi ~ctx ~top:32 ~candidates:high_cands ~d:low.winner views
   in
   let xu = (high.winner lsl 25) lor low.winner in
   let mant = xu land ((1 lsl 52) - 1) in
-  let s, e, _ = sign_exponent_multi ~ctx:c ~mant views in
+  let s, e, _ = sign_exponent_multi ~ctx ~mant views in
   Fpr.make ~sign:s ~exp:e ~mant

@@ -271,10 +271,9 @@ module Falcon = struct
     Recover.Eval_sampled
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
 
-  let recover_store ?ctx ?stop ?max_traces ~dir reader =
-    let c = Ctx.or_default ctx in
+  let recover_store ?(ctx = Ctx.default) ?stop ?max_traces ~dir reader =
     (match stop with
-    | Some _ when not (supports_stop c.Ctx.leakage) ->
+    | Some _ when not (supports_stop ctx.Ctx.leakage) ->
         invalid_arg
           "Target.falcon: ?stop is not available under `Hd leakage (no d-free \
            Hamming-distance decision sweep)"
@@ -283,7 +282,7 @@ module Falcon = struct
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
     let res =
-      Fullkey.recover_key_store ~ctx:c ?stop ?max_traces
+      Fullkey.recover_key_store ~ctx ?stop ?max_traces
         ~stop_report:(fun s -> summary := Some s)
         ~reader ~h:pk.h (crack_strategy truth_sk)
     in
@@ -430,8 +429,7 @@ module Hqc_target = struct
     check_n n;
     Hqc.decode_secret s
 
-  let recover_store ?ctx ?stop ?max_traces ~dir reader =
-    let c = Ctx.or_default ctx in
+  let recover_store ?(ctx = Ctx.default) ?stop ?max_traces ~dir reader =
     let n = Hqc.Params.n_bits in
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in
@@ -444,7 +442,7 @@ module Hqc_target = struct
     for j = 0 to w - 1 do
       let prev = Array.sub winners 0 j in
       let cands = Array.of_seq (guess_space ~n ~unit_index:j ~prev) in
-      let parts = parts ~leakage:c.Ctx.leakage ~n ~unit_index:j ~prev in
+      let parts = parts ~leakage:ctx.Ctx.leakage ~n ~unit_index:j ~prev in
       if Array.length cands = 0 then
         failwith "Target.hqc: empty candidate set (corrupt recovered prefix)"
       else if Array.length cands = 1 then
@@ -455,7 +453,7 @@ module Hqc_target = struct
         match stop with
         | None ->
             let ranking =
-              Dema.Stream.rank ~ctx:c ~codec reader ~parts
+              Dema.Stream.rank ~ctx ~codec reader ~parts
                 ~known:known_of_trace ~top:1 (Array.to_seq cands)
             in
             (match ranking with
@@ -464,7 +462,7 @@ module Hqc_target = struct
             used.(j) <- budget
         | Some spec ->
             let r =
-              Dema.Stream.rank_until ~ctx:c ~codec ~spec
+              Dema.Stream.rank_until ~ctx ~codec ~spec
                 ?max_traces reader ~parts ~known:known_of_trace ~top:1
                 (Array.to_seq cands)
             in
@@ -527,9 +525,8 @@ let find name =
    of its true intermediate.  Shards are pulled strictly in order on
    the owner domain, so the store is bit-identical across jobs. *)
 
-let profile ?ctx ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
-  let c = Ctx.or_default ctx in
-  let leakage = c.Ctx.leakage in
+let profile ?(ctx = Ctx.default) ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
+  let leakage = ctx.Ctx.leakage in
   let meta = Tracestore.Reader.meta reader in
   T.codec.Dema.Stream.check meta;
   let n = meta.Tracestore.n in
@@ -549,7 +546,7 @@ let profile ?ctx ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
     }
   in
   let feed add =
-    let fd = Dema.Stream.shard_feed ~ctx:c ~codec:T.codec ?max_traces reader in
+    let fd = Dema.Stream.shard_feed ~ctx ~codec:T.codec ?max_traces reader in
     Fun.protect ~finally:(fun () -> fd.Dema.Stream.close ()) @@ fun () ->
     let rec loop () =
       match fd.Dema.Stream.next () with
@@ -568,7 +565,7 @@ let profile ?ctx ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
     in
     loop ()
   in
-  Obs.span c.Ctx.obs "target.profile"
+  Obs.span ctx.Ctx.obs "target.profile"
     ~fields:
       [
         ("target", Obs.Str T.name);

@@ -1,6 +1,5 @@
-let known_inputs ~n ~coeff ~component ~count ~seed =
-  let jobs = Parallel.default_jobs () in
-  Parallel.map_array ~jobs
+let known_inputs ?(ctx = Ctx.default) ~n ~coeff ~component ~count ~seed () =
+  Parallel.map_array ~jobs:ctx.Ctx.jobs
     (fun i ->
       let c = Falcon.Hash.to_point ~n (Printf.sprintf "%s/%d" seed i) in
       let cf = Fft.fft_of_int c in
@@ -14,9 +13,8 @@ let mul_views model rng ~x ~known =
     known;
   }
 
-let known_input_pairs ~n ~coeff ~count ~seed =
-  let jobs = Parallel.default_jobs () in
-  Parallel.map_array ~jobs
+let known_input_pairs ?(ctx = Ctx.default) ~n ~coeff ~count ~seed () =
+  Parallel.map_array ~jobs:ctx.Ctx.jobs
     (fun i ->
       let c = Falcon.Hash.to_point ~n (Printf.sprintf "%s/%d" seed i) in
       let cf = Fft.fft_of_int c in

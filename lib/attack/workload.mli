@@ -8,10 +8,17 @@
     paying for full signing runs. *)
 
 val known_inputs :
-  n:int -> coeff:int -> component:[ `Re | `Im ] -> count:int -> seed:string -> Fpr.t array
+  ?ctx:Ctx.t ->
+  n:int ->
+  coeff:int ->
+  component:[ `Re | `Im ] ->
+  count:int ->
+  seed:string ->
+  unit ->
+  Fpr.t array
 (** FFT(c) values at [coeff] for [count] random salted messages.  Each
-    entry is an independent hash-and-FFT, generated across
-    {!Parallel.default_jobs} worker domains (deterministically — the
+    entry is an independent hash-and-FFT, generated across [ctx.jobs]
+    worker domains (deterministically — the
     value at every index is a pure function of [seed] and the index;
     the trace simulation in {!mul_views} stays sequential: it consumes
     one shared noise-RNG stream). *)
@@ -22,7 +29,13 @@ val mul_views :
     every d — one window per trace. *)
 
 val known_input_pairs :
-  n:int -> coeff:int -> count:int -> seed:string -> (Fpr.t * Fpr.t) array
+  ?ctx:Ctx.t ->
+  n:int ->
+  coeff:int ->
+  count:int ->
+  seed:string ->
+  unit ->
+  (Fpr.t * Fpr.t) array
 (** Both FFT(c) components (re, im) at [coeff] for [count] random salted
     messages — in a real signing trace the secret component multiplies
     both of them (see {!Recover.views_for}). *)

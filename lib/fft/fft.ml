@@ -16,47 +16,41 @@ let log2 n =
    reduces x^m - e^{i.th} with th = pi * a(l,b) / 2^l, and its butterfly
    twiddle is w = e^{i.th/2}.  Angles descend as th -> th/2 (left child)
    and th/2 + pi (right child), starting from th = pi. *)
-let twiddle_cache : (int, (Fpr.t * Fpr.t) array array) Hashtbl.t = Hashtbl.create 8
+let build_twiddles n =
+  assert (is_pow2 n && n >= 2);
+  let levels = log2 n in
+  let angles = ref [| 1. |] (* numerators a of th = pi * a / 2^l *) in
+  let denom = ref 1. in
+  Array.init levels (fun _ ->
+      let cur = !angles and d = !denom in
+      let tw =
+        Array.map
+          (fun a ->
+            let half_angle = Float.pi *. a /. (2. *. d) in
+            (Fpr.of_float (Float.cos half_angle), Fpr.of_float (Float.sin half_angle)))
+          cur
+      in
+      (* children numerators over denominator 2d *)
+      let next = Array.make (2 * Array.length cur) 0. in
+      Array.iteri
+        (fun i a ->
+          next.(2 * i) <- a;
+          next.((2 * i) + 1) <- a +. (2. *. d))
+        cur;
+      angles := next;
+      denom := 2. *. d;
+      tw)
 
-(* The cache is shared process state and transforms may run from worker
-   domains (e.g. Workload/Fullkey fan-out); a bare Hashtbl is a data
-   race under OCaml 5, so all access goes through this lock.  The table
-   is tiny (one entry per ring size) and entries are immutable once
-   built, so holding the lock across a miss is harmless. *)
-let twiddle_lock = Mutex.create ()
+(* Every FALCON ring size (n = 2 .. 1024) is built once at module
+   initialisation (about 2k twiddles in all) and never mutated, so
+   transforms on any domain read it without a lock; larger sizes are
+   built per call. *)
+let twiddle_table =
+  Array.init 11 (fun l -> if l = 0 then [||] else build_twiddles (1 lsl l))
 
 let twiddles n =
-  Mutex.protect twiddle_lock @@ fun () ->
-  match Hashtbl.find_opt twiddle_cache n with
-  | Some t -> t
-  | None ->
-      assert (is_pow2 n && n >= 2);
-      let levels = log2 n in
-      let angles = ref [| 1. |] (* numerators a of th = pi * a / 2^l *) in
-      let denom = ref 1. in
-      let out =
-        Array.init levels (fun _ ->
-            let cur = !angles and d = !denom in
-            let tw =
-              Array.map
-                (fun a ->
-                  let half_angle = Float.pi *. a /. (2. *. d) in
-                  (Fpr.of_float (Float.cos half_angle), Fpr.of_float (Float.sin half_angle)))
-                cur
-            in
-            (* children numerators over denominator 2d *)
-            let next = Array.make (2 * Array.length cur) 0. in
-            Array.iteri
-              (fun i a ->
-                next.(2 * i) <- a;
-                next.((2 * i) + 1) <- a +. (2. *. d))
-              cur;
-            angles := next;
-            denom := 2. *. d;
-            tw)
-      in
-      Hashtbl.add twiddle_cache n out;
-      out
+  if is_pow2 n && log2 n < Array.length twiddle_table then twiddle_table.(log2 n)
+  else build_twiddles n
 
 let tree_points n =
   assert (is_pow2 n && n >= 2);

@@ -29,22 +29,10 @@ type model = Tracestore.model_meta = {
   baseline : float;
 }
 
-(** The one home of the acquisition constants that used to be scattered
-    as per-module magic numbers.  [of_env] honours [FD_ALPHA],
-    [FD_NOISE] and [FD_BASELINE]; malformed or non-finite values fall
-    back to the defaults. *)
-module Params : sig
-  type t = model = { alpha : float; noise_sigma : float; baseline : float }
-
-  val default : t
-  (** alpha 1.0, noise 2.0, baseline 10 — SNR comparable to a noisy
-      near-field setup (thousands of traces for 1-bit targets). *)
-
-  val of_env : unit -> t
-end
-
 val default_model : model
-(** [Params.default]. *)
+(** alpha 1.0, noise 2.0, baseline 10 — SNR comparable to a noisy
+    near-field setup (thousands of traces for 1-bit targets).  The one
+    home of the acquisition constants. *)
 
 val clean_model : model
 (** Noise-free; for layout tests. *)

@@ -11,35 +11,30 @@ let sigma_fg n = 1.17 *. sqrt (float_of_int Zq.q /. (2. *. float_of_int n))
 
 (* ---- discrete Gaussian over Z by CDF inversion ---- *)
 
-let gauss_table_cache : (int, float array) Hashtbl.t = Hashtbl.create 4
-
-let gauss_table sigma =
-  let key = int_of_float (sigma *. 1000.) in
-  match Hashtbl.find_opt gauss_table_cache key with
-  | Some t -> t
-  | None ->
-      let tail = int_of_float (Float.ceil (10. *. sigma)) in
-      let w = Array.init ((2 * tail) + 1) (fun i ->
-          let k = float_of_int (i - tail) in
-          exp (-.(k *. k) /. (2. *. sigma *. sigma)))
-      in
-      let total = Array.fold_left ( +. ) 0. w in
-      let cdf = Array.make (Array.length w) 0. in
-      let acc = ref 0. in
-      Array.iteri (fun i v ->
-          acc := !acc +. (v /. total);
-          cdf.(i) <- !acc) w;
-      Hashtbl.add gauss_table_cache key cdf;
-      cdf
-
-let gauss_sample rng ~sigma =
-  let cdf = gauss_table sigma in
-  let tail = (Array.length cdf - 1) / 2 in
-  let u =
-    Int64.to_float (Int64.shift_right_logical (Prng.u64 rng) 11) *. 0x1p-53
+(* [gauss_sampler ~sigma] builds the CDF table once; the returned
+   function draws one sample per call. *)
+let gauss_sampler ~sigma =
+  let tail = int_of_float (Float.ceil (10. *. sigma)) in
+  let w = Array.init ((2 * tail) + 1) (fun i ->
+      let k = float_of_int (i - tail) in
+      exp (-.(k *. k) /. (2. *. sigma *. sigma)))
   in
-  let rec find i = if i >= Array.length cdf - 1 || cdf.(i) > u then i else find (i + 1) in
-  find 0 - tail
+  let total = Array.fold_left ( +. ) 0. w in
+  let cdf = Array.make (Array.length w) 0. in
+  let acc = ref 0. in
+  Array.iteri (fun i v ->
+      acc := !acc +. (v /. total);
+      cdf.(i) <- !acc) w;
+  fun rng ->
+    let u =
+      Int64.to_float (Int64.shift_right_logical (Prng.u64 rng) 11) *. 0x1p-53
+    in
+    let rec find i =
+      if i >= Array.length cdf - 1 || cdf.(i) > u then i else find (i + 1)
+    in
+    find 0 - tail
+
+let gauss_sample rng ~sigma = gauss_sampler ~sigma rng
 
 (* ---- floating-point scaffolding for Babai reduction ---- *)
 
@@ -164,12 +159,12 @@ let gs_norm_ok f g =
 
 let keygen ?(max_attempts = 1000) ~n ~seed () =
   let rng = Prng.of_seed seed in
-  let sigma = sigma_fg n in
+  let sample = gauss_sampler ~sigma:(sigma_fg n) in
   let rec attempt k =
     if k = 0 then failwith "Ntrugen.keygen: out of attempts"
     else begin
-      let f = Array.init n (fun _ -> gauss_sample rng ~sigma) in
-      let g = Array.init n (fun _ -> gauss_sample rng ~sigma) in
+      let f = Array.init n (fun _ -> sample rng) in
+      let g = Array.init n (fun _ -> sample rng) in
       let ok_range = Array.for_all (fun c -> abs c <= 127) f
                      && Array.for_all (fun c -> abs c <= 127) g in
       if not ok_range then attempt (k - 1)

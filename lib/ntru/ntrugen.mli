@@ -22,7 +22,8 @@ val sigma_fg : int -> float
 (** Key-sampling standard deviation 1.17 sqrt(q / 2n). *)
 
 val gauss_sample : Prng.t -> sigma:float -> int
-(** Discrete Gaussian over Z (CDF inversion, 10-sigma tail cut). *)
+(** Discrete Gaussian over Z (CDF inversion, 10-sigma tail cut).  Builds
+    the CDF table on every call; {!keygen} builds it once per key. *)
 
 val solve : int array -> int array -> (int array * int array) option
 (** [solve f g] returns integer polynomials (F, G) with f G - g F = q in

@@ -4,11 +4,6 @@ let check_jobs j =
   if j < 1 then invalid_arg "Parallel: jobs must be >= 1";
   j
 
-let jobs_default = Atomic.make 1
-let default_jobs () = Atomic.get jobs_default
-let set_default_jobs j = Atomic.set jobs_default (check_jobs j)
-let resolve = function Some j -> check_jobs j | None -> default_jobs ()
-
 let run_workers ~jobs body =
   let jobs = check_jobs jobs in
   if jobs = 1 then body 0

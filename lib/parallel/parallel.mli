@@ -14,19 +14,9 @@
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()] — what the hardware allows. *)
 
-val default_jobs : unit -> int
-(** Process-wide default worker count used when an optional [?jobs]
-    argument is omitted.  Starts at 1, so all library entry points
-    behave exactly like their historical sequential versions unless a
-    caller opts in. *)
-
-val set_default_jobs : int -> unit
-(** Set {!default_jobs}.  Raises [Invalid_argument] if [jobs < 1]. *)
-
-val resolve : int option -> int
-(** [resolve jobs] is [j] for [Some j] (raising [Invalid_argument] if
-    [j < 1]) and [default_jobs ()] for [None] — the idiom for optional
-    [?jobs] parameters. *)
+val check_jobs : int -> int
+(** [check_jobs j] is [j]; raises [Invalid_argument] if [j < 1].  Every
+    combinator below validates its [jobs] this way. *)
 
 val run_workers : jobs:int -> (int -> unit) -> unit
 (** [run_workers ~jobs body] runs [body w] for worker indices

@@ -70,8 +70,8 @@ let emit_obs obs ~total results =
         results
   end
 
-let run ?jobs ?(obs = Obs.null) ~spec ~total ~feed ~length units =
-  let jobs = Parallel.resolve jobs in
+let run ~jobs ?(obs = Obs.null) ~spec ~total ~feed ~length units =
+  let jobs = Parallel.check_jobs jobs in
   let nu = Array.length units in
   if nu = 0 then invalid_arg "Campaign.run: no units";
   let testers = Array.init nu (fun _ -> Decision.tester spec) in

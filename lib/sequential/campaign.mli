@@ -48,7 +48,7 @@ type summary = {
 val summarize : total:int -> result array -> summary
 
 val run :
-  ?jobs:int ->
+  jobs:int ->
   ?obs:Obs.t ->
   spec:Decision.spec ->
   total:int ->

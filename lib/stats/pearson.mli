@@ -94,18 +94,10 @@ end
     by [test/test_pearson_batch.ml]. *)
 module Batch : sig
   type backend = Scalar | Batched
-
-  val default_backend : unit -> backend
-  (** Process-wide kernel choice: the Pearson kernel of the default
-      attack context when none is given.  Initialised from the
-      [FD_PEARSON] environment variable ([scalar] selects the scalar
-      reference path; anything else, including unset, selects the
-      batched kernel). *)
-
-  val set_default_backend : backend -> unit
-
-  val resolve : backend option -> backend
-  (** [resolve b] is the idiom for optional [?backend] parameters. *)
+  (** Which kernel scores a sweep: [Scalar] is the per-guess reference
+      loop ({!corr_with}), [Batched] this module's fused kernel.  The two
+      are bit-identical by the contract above; the attack context picks
+      one per run ([Attack.Ctx.t]). *)
 
   type hyp_block
 

@@ -574,8 +574,8 @@ module Reader = struct
            | None -> Seq.empty))
 end
 
-let verify ?access dir =
-  let r = Reader.open_store ~policy:`Fail ?access dir in
+let verify dir =
+  let r = Reader.open_store ~policy:`Fail dir in
   ( Reader.meta r,
     List.init (Reader.shard_count r) (fun i ->
         match Reader.load_shard r i with

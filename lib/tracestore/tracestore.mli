@@ -174,9 +174,8 @@ module Reader : sig
       live at any point of the traversal. *)
 end
 
-val verify :
-  ?access:[ `Auto | `Mmap | `Read ] -> string -> meta * (int * (int, string) result) list
-(** [verify ?access dir] opens the manifest strictly and strictly loads
-    every shard, returning per-shard outcomes in order: [Ok count] or
-    [Error diagnostic].  [access] is as in {!Reader.open_store}.  The
-    store is never modified. *)
+val verify : string -> meta * (int * (int, string) result) list
+(** [verify dir] opens the manifest strictly and strictly loads every
+    shard, returning per-shard outcomes in order: [Ok count] or
+    [Error diagnostic].  Shards are read with [`Auto] access (see
+    {!Reader.open_store}).  The store is never modified. *)

@@ -36,30 +36,32 @@ let generator =
 
 (* psi tables: psi is a primitive 2n-th root of unity, in bit-reversed
    order as required by the iterative Cooley-Tukey negacyclic NTT. *)
-let table_cache : (int, int array * int array * int) Hashtbl.t = Hashtbl.create 8
+let build_tables n =
+  assert (n > 0 && n land (n - 1) = 0 && (q - 1) mod (2 * n) = 0);
+  let psi = pow generator ((q - 1) / (2 * n)) in
+  assert (pow psi n = q - 1);
+  let psi_inv = inv psi in
+  let bits =
+    let rec go m acc = if m = 1 then acc else go (m lsr 1) (acc + 1) in
+    go n 0
+  in
+  let fwd = Array.make n 1 and bwd = Array.make n 1 in
+  for i = 0 to n - 1 do
+    let r = Bitops.brev i ~bits in
+    fwd.(i) <- pow psi r;
+    bwd.(i) <- pow psi_inv r
+  done;
+  (fwd, bwd, inv n)
+
+(* 2n must divide q - 1 = 3 * 2^12, so n = 2^k with k <= 11: every
+   valid size is built once at module initialisation and never mutated,
+   so NTTs on any domain read it without a lock. *)
+let table_of_log = Array.init 12 (fun k -> build_tables (1 lsl k))
 
 let tables n =
-  match Hashtbl.find_opt table_cache n with
-  | Some t -> t
-  | None ->
-      assert (n > 0 && n land (n - 1) = 0 && (q - 1) mod (2 * n) = 0);
-      let psi = pow generator ((q - 1) / (2 * n)) in
-      assert (pow psi n = q - 1);
-      let psi_inv = inv psi in
-      let bits =
-        let rec go m acc = if m = 1 then acc else go (m lsr 1) (acc + 1) in
-        go n 0
-      in
-      let fwd = Array.make n 1 and bwd = Array.make n 1 in
-      for i = 0 to n - 1 do
-        let r = Bitops.brev i ~bits in
-        fwd.(i) <- pow psi r;
-        bwd.(i) <- pow psi_inv r
-      done;
-      let n_inv = inv n in
-      let t = (fwd, bwd, n_inv) in
-      Hashtbl.add table_cache n t;
-      t
+  if n > 0 && n land (n - 1) = 0 && n < 1 lsl Array.length table_of_log then
+    table_of_log.(Bitops.bit_length n - 1)
+  else build_tables n
 
 type ntt_event = { index : int; value : int }
 

@@ -13,7 +13,7 @@ let view_for x =
   let rng = Stats.Rng.create ~seed:2024 in
   let known =
     Attack.Workload.known_inputs ~n ~coeff:5 ~component:`Re ~count:trace_count
-      ~seed:"attack tests"
+      ~seed:"attack tests" ()
   in
   Attack.Workload.mul_views Leakage.default_model rng ~x ~known
 

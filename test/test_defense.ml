@@ -6,7 +6,7 @@ let secret = 0xC06017BC8036B580L
 let n = 64
 
 let known count seed =
-  Attack.Workload.known_inputs ~n ~coeff:5 ~component:`Re ~count ~seed
+  Attack.Workload.known_inputs ~n ~coeff:5 ~component:`Re ~count ~seed ()
 
 (* views built from countermeasure traces share the Recover.view shape
    for the unprotected sample layout attacks *)
@@ -190,7 +190,9 @@ let test_template_recovers_with_fewer_traces () =
   let store = train_store prof_view ~secret:prof_secret in
   let attack_views =
     let rng = Stats.Rng.create ~seed:20 in
-    let pairs = Attack.Workload.known_input_pairs ~n ~coeff:5 ~count:500 ~seed:"tmpl" in
+    let pairs =
+      Attack.Workload.known_input_pairs ~n ~coeff:5 ~count:500 ~seed:"tmpl" ()
+    in
     let v1, v2 = Attack.Workload.mul_view_pair Leakage.default_model rng ~x:secret ~known_pairs:pairs in
     [ v1; v2 ]
   in

@@ -203,7 +203,9 @@ let test_hyp_vector () =
 (* ---- signif / workload ---- *)
 
 let test_workload_known_inputs_vary () =
-  let k = Attack.Workload.known_inputs ~n:16 ~coeff:2 ~component:`Im ~count:20 ~seed:"w" in
+  let k =
+    Attack.Workload.known_inputs ~n:16 ~coeff:2 ~component:`Im ~count:20 ~seed:"w" ()
+  in
   Alcotest.(check int) "count" 20 (Array.length k);
   let distinct = List.sort_uniq compare (Array.to_list k) in
   Alcotest.(check bool) "inputs vary" true (List.length distinct > 15)

@@ -158,7 +158,7 @@ let view =
   lazy
     (let known =
        Attack.Workload.known_inputs ~n:16 ~coeff:3 ~component:`Re ~count:500
-         ~seed:"obs transparency"
+         ~seed:"obs transparency" ()
      in
      Attack.Workload.mul_views model (Stats.Rng.create ~seed:91) ~x:paper_coeff ~known)
 

@@ -69,16 +69,13 @@ let test_worker_exception_propagates () =
     [ 1; 4 ]
 
 let test_jobs_validation () =
-  Alcotest.(check int) "resolve None = default" (Parallel.default_jobs ())
-    (Parallel.resolve None);
-  Alcotest.(check int) "resolve Some" 3 (Parallel.resolve (Some 3));
   Alcotest.(check bool) "at least one core" true (Parallel.available_cores () >= 1);
-  (match Parallel.resolve (Some 0) with
+  (match Parallel.map_array ~jobs:0 Fun.id [| 1 |] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "resolve 0 accepted");
-  match Parallel.set_default_jobs 0 with
+  | _ -> Alcotest.fail "map_array ~jobs:0 accepted");
+  match Attack.Ctx.make ~jobs:0 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "set_default_jobs 0 accepted"
+  | _ -> Alcotest.fail "Ctx.make ~jobs:0 accepted"
 
 let suite =
   [

@@ -224,18 +224,6 @@ let test_edge_shapes () =
        (Array.map (Stats.Pearson.corr_with c) rows5)
        (Stats.Pearson.Batch.corr_block c (Stats.Pearson.Batch.of_rows rows5)))
 
-let test_backend_default () =
-  let saved = Stats.Pearson.Batch.default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Stats.Pearson.Batch.set_default_backend saved)
-    (fun () ->
-      Stats.Pearson.Batch.set_default_backend Stats.Pearson.Batch.Scalar;
-      Alcotest.(check bool) "resolve None follows default" true
-        (Stats.Pearson.Batch.resolve None = Stats.Pearson.Batch.Scalar);
-      Alcotest.(check bool) "resolve Some overrides" true
-        (Stats.Pearson.Batch.resolve (Some Stats.Pearson.Batch.Batched)
-        = Stats.Pearson.Batch.Batched))
-
 (* Allocation canary: a warm corr_block call over a large block must not
    allocate per guess x trace (the regression would be rebuilding a
    D-length vector per row, ~2 MB here).  The legitimate footprint is
@@ -283,7 +271,7 @@ let test_extend_prune_backend_parity () =
   let x = Fpr.make ~sign:0 ~exp:1026 ~mant:0x0A5C3017BC8F2 in
   let known =
     Attack.Workload.known_inputs ~n:64 ~coeff:3 ~component:`Re ~count:600
-      ~seed:"pearson batch pin"
+      ~seed:"pearson batch pin" ()
   in
   let v = Attack.Workload.mul_views Leakage.default_model rng ~x ~known in
   let d_true = (Fpr.mantissa x lor (1 lsl 52)) land 0x1FFFFFF in
@@ -380,7 +368,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fused_segmented_matches_whole;
     QCheck_alcotest.to_alcotest prop_fused_split_matches_fold;
     Alcotest.test_case "edge shapes (G=0, G=1, partial tile)" `Quick test_edge_shapes;
-    Alcotest.test_case "backend default / resolve" `Quick test_backend_default;
     Alcotest.test_case "allocation canary (O(G), not O(GxD))" `Quick
       test_allocation_canary;
     Alcotest.test_case "extend-and-prune backend parity" `Slow

@@ -164,9 +164,9 @@ let test_profiled_determinism () =
              known ))
          needs)
   in
-  D.fold st batch;
+  D.fold ~jobs:1 st batch;
   Alcotest.(check bool) "finalize idempotent" true
-    (D.finalize st = D.finalize st)
+    (D.finalize ~jobs:1 st = D.finalize ~jobs:1 st)
 
 let test_profiled_rank_recovers () =
   (* the template scorer puts the true low half first on the

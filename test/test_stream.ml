@@ -180,7 +180,7 @@ let test_stream_rank_bit_identical () =
       Alcotest.(check bool)
         (name ^ ": memory rank itself jobs-invariant")
         true (mem 2 = reference))
-    [ Attack.Distinguisher.default (); profiled ]
+    [ Attack.Distinguisher.Pearson_batched; profiled ]
 
 let test_stream_evolution_matches_prefix_rescan () =
   with_campaign @@ fun sk traces reader ->
