@@ -333,13 +333,7 @@ let headline () =
     (fun count ->
       if count <= trace_budget then begin
         let traces = Leakage.capture model ~seed sk ~count in
-        let strategy ~coeff ~mul =
-          let truth =
-            if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff)
-          in
-          Attack.Recover.Eval_sampled
-            { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
-        in
+        let strategy = Attack.Recover.sampled_strategy sk.f_fft in
         let res, wall =
           timed (fun () -> Attack.Fullkey.recover_key ~ctx ~traces ~h:pk.h strategy)
         in
@@ -958,11 +952,7 @@ let sequential () =
     count n
     (Tracestore.Reader.shard_count reader)
     alpha jobs;
-  let strategy ~coeff ~mul =
-    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
-  in
+  let strategy = Attack.Recover.sampled_strategy sk.f_fft in
   let fixed, fixed_s =
     timed (fun () -> Attack.Fullkey.recover_f_fft_store ~ctx ~reader strategy)
   in
@@ -1055,15 +1045,11 @@ let sequential () =
 
 (* ---------------------------------------------------------------- *)
 (* Observability overhead: the same end-to-end ranking sweep under the
-   run's context as every section passes it (the "no ctx" baseline,
-   named so for comparability of BENCH_obs.json rows; a call without
-   [~ctx] would run on one worker whatever FD_JOBS says), the same
-   context with the Null sink set explicitly, and a JSONL-sink context.
-   Instrumentation must be
-   observationally transparent: the row (BENCH_obs.json) is gated on
-   all three rankings being bit-identical.  The sink overheads are
-   reported, not gated: at the smoke-test budget they are within the
-   timing noise of a shared machine. *)
+   run's context with the Null sink and with a JSONL sink.
+   Instrumentation must be observationally transparent: the row
+   (BENCH_obs.json) is gated on both rankings being bit-identical.  The
+   sink overhead is reported, not gated: at the smoke-test budget it is
+   within the timing noise of a shared machine. *)
 
 let obs_bench () =
   section "Obs — instrumentation overhead on the end-to-end ranking sweep";
@@ -1082,9 +1068,6 @@ let obs_bench () =
   in
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" (Array.length guesses)
     (Array.length traces) jobs;
-  let no_ctx () =
-    Attack.Dema.rank ~ctx ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
-  in
   let null_ctx = Attack.Ctx.with_obs Obs.null ctx in
   let null () =
     Attack.Dema.rank ~ctx:null_ctx ~traces ~parts ~known ~top:32
@@ -1096,44 +1079,41 @@ let obs_bench () =
     let ctx = Attack.Ctx.with_obs (Obs.make (Obs.Jsonl.to_buffer buf)) null_ctx in
     Attack.Dema.rank ~ctx ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
-  let r_no_ctx = no_ctx () in
-  let identical = r_no_ctx = null () && r_no_ctx = jsonl () in
+  let identical = null () = jsonl () in
   let events =
     List.length (String.split_on_char '\n' (String.trim (Buffer.contents buf)))
   in
   (* interleaved min-of-rounds timing, same idiom as the pearson section:
      every contestant is measured once per round so shared-machine noise
-     hits all three alike.  The measurement order rotates each round —
-     with a fixed order, GC and allocator state left by contestant k
-     systematically lands on contestant k+1 and masquerades as sink
+     hits both alike.  The measurement order alternates each round —
+     with a fixed order, GC and allocator state left by one contestant
+     systematically lands on the next and masquerades as sink
      overhead. *)
   let rounds = 12 in
-  let contestants = [| no_ctx; null; jsonl |] in
-  let best = Array.make 3 infinity in
+  let contestants = [| null; jsonl |] in
+  let best = Array.make 2 infinity in
   for round = 0 to rounds - 1 do
-    for k = 0 to 2 do
-      let i = (round + k) mod 3 in
+    for k = 0 to 1 do
+      let i = (round + k) mod 2 in
       let t0 = Unix.gettimeofday () in
       ignore (Sys.opaque_identity (contestants.(i) ()));
       best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0)
     done
   done;
-  let no_ctx_s = best.(0) and null_s = best.(1) and jsonl_s = best.(2) in
-  let pct base s = (s -. base) /. base *. 100. in
-  Printf.printf "sink      | time (s) | overhead vs no ctx\n";
-  Printf.printf "----------+----------+-------------------\n";
-  Printf.printf "no ctx    | %8.4f | --\n" no_ctx_s;
-  Printf.printf "null      | %8.4f | %+.2f%%\n" null_s (pct no_ctx_s null_s);
+  let null_s = best.(0) and jsonl_s = best.(1) in
+  let jsonl_overhead_pct = (jsonl_s -. null_s) /. null_s *. 100. in
+  Printf.printf "sink      | time (s) | overhead vs null\n";
+  Printf.printf "----------+----------+-----------------\n";
+  Printf.printf "null      | %8.4f | --\n" null_s;
   Printf.printf "jsonl     | %8.4f | %+.2f%% (%d events per run)\n%!" jsonl_s
-    (pct no_ctx_s jsonl_s) events;
+    jsonl_overhead_pct events;
   Printf.printf "rankings bit-identical across sinks: %b\n" identical;
   report ~section:"obs"
     Obs.Json.
       [
         ("traces", Int (Array.length traces)); ("guesses", Int (Array.length guesses));
-        ("jobs", Int jobs); ("no_ctx_s", Float no_ctx_s); ("null_s", Float null_s);
-        ("jsonl_s", Float jsonl_s); ("null_overhead_pct", Float (pct no_ctx_s null_s));
-        ("jsonl_overhead_pct", Float (pct no_ctx_s jsonl_s));
+        ("jobs", Int jobs); ("null_s", Float null_s); ("jsonl_s", Float jsonl_s);
+        ("jsonl_overhead_pct", Float jsonl_overhead_pct);
         ("jsonl_events", Int events); ("bit_identical", Bool identical);
       ]
     [ holds "bit_identical" "the rankings diverged across sinks" identical ]
@@ -1184,11 +1164,7 @@ let leakage_bench () =
     st.Align.traces realign_s realign_tps st.Align.shifted st.Align.max_abs_shift
     st.Align.mean_abs_shift;
   (* the end-to-end story: unaligned degraded, realigned full recovery *)
-  let strategy ~coeff ~mul =
-    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
-  in
+  let strategy = Attack.Recover.sampled_strategy sk.f_fft in
   let attack name traces =
     let res =
       Attack.Fullkey.recover_key

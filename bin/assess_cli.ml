@@ -183,10 +183,10 @@ let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
   in
   let json = Assess.Matrix.to_json report in
   let json_path = out ^ ".json" and csv_path = out ^ ".csv" in
-  write_file json_path (Assess.Json.to_string ~pretty:true json ^ "\n");
+  write_file json_path (Obs.Json.to_string ~pretty:true json ^ "\n");
   write_file csv_path (Assess.Matrix.to_csv report);
   (* round-trip self-check: what landed on disk parses and validates *)
-  (match Assess.Matrix.validate (Assess.Json.of_string (read_file json_path)) with
+  (match Assess.Matrix.validate (Obs.Json.of_string (read_file json_path)) with
   | Ok () -> ()
   | Error msg -> failwith ("emitted report fails validation: " ^ msg));
   Printf.printf "wrote %s and %s (%d cells, schema %s)\n" json_path csv_path
@@ -198,11 +198,11 @@ let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
 
 let cmd_check json_path =
   with_errors @@ fun () ->
-  let json = Assess.Json.of_string (read_file json_path) in
+  let json = Obs.Json.of_string (read_file json_path) in
   match Assess.Matrix.validate json with
   | Ok () ->
       let cells =
-        match Option.bind (Assess.Json.member "cells" json) Assess.Json.to_list_opt with
+        match Option.bind (Obs.Json.member "cells" json) Obs.Json.to_list_opt with
         | Some l -> List.length l
         | None -> 0
       in

@@ -18,12 +18,10 @@ let cmd_run n traces noise seed flags =
     noise seed;
   let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
   let captured = Leakage.capture model ~seed sk ~count:traces in
-  let strategy ~coeff ~mul =
-    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:(seed + (coeff * 7) + mul); decoys = 512; truth }
+  let res =
+    Attack.Fullkey.recover_key ~ctx ~traces:captured ~h:pk.h
+      (Attack.Recover.sampled_strategy ~seed sk.f_fft)
   in
-  let res = Attack.Fullkey.recover_key ~ctx ~traces:captured ~h:pk.h strategy in
   Printf.printf "bit-exact FFT(f) coefficients: %d / %d\n"
     (Attack.Fullkey.count_correct res.f_fft ~truth:sk.f_fft)
     (2 * n);
@@ -85,16 +83,6 @@ let read_file path =
   close_in ic;
   s
 
-(* The sampled-hypothesis evaluation strategy used by both crack paths:
-   pure per (coeff, mul), so recovery is bit-identical at every -j. *)
-let crack_strategy truth_sk ~coeff ~mul =
-  let truth =
-    if mul = 0 then truth_sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
-    else truth_sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
-  in
-  Attack.Recover.Eval_sampled
-    { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
-
 let crack_report pk truth_kp (res : Attack.Fullkey.result) =
   Printf.printf "f recovered exactly: %b\n" (res.f = truth_kp.Ntru.Ntrugen.f);
   match res.keypair with
@@ -126,14 +114,14 @@ let print_stop_summary (s : Sequential.Campaign.summary) =
    streaming, same sequential stopping, scheme-specific enumerator and
    key reassembly behind Attack.Target.S. *)
 let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
-    max_traces flags ctx =
+    max_traces ctx =
   if until_confident && not (T.supports_stop leakage) then begin
     prerr_endline
       "--until-confident is not available for this target under --leakage hd";
     1
   end
   else begin
-    let reader = Cli_common.open_store flags dir in
+    let reader = Tracestore.Reader.open_store dir in
     Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
       (Tracestore.Reader.total_traces reader)
       (Tracestore.Reader.shard_count reader)
@@ -172,7 +160,7 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
       prerr_endline ("unknown --target " ^ target);
       1
   | Some t ->
-      let reader = Cli_common.open_store flags dir in
+      let reader = Tracestore.Reader.open_store dir in
       let module T = (val t : Attack.Target.S) in
       Printf.printf "profiling %d traces (%d shards) of a %s campaign from %s\n%!"
         (Tracestore.Reader.total_traces reader)
@@ -195,7 +183,7 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
   match store with
   | Some dir when target <> "falcon" -> (
       match Attack.Target.find target with
-      | Some t -> crack_target t dir leakage until_confident alpha max_traces flags ctx
+      | Some t -> crack_target t dir leakage until_confident alpha max_traces ctx
       | None ->
           prerr_endline ("unknown --target " ^ target);
           1)
@@ -205,7 +193,7 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
   | Some dir -> (
       (* out-of-core path: stream shards from the store, never holding
          the whole campaign in memory *)
-      let reader = Cli_common.open_store flags dir in
+      let reader = Tracestore.Reader.open_store dir in
       match
         ( Falcon.Keycodec.decode_public (read_file (Filename.concat dir "public.key")),
           Falcon.Keycodec.decode_secret (read_file (Filename.concat dir "secret.key"))
@@ -231,7 +219,7 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
           let res =
             Attack.Fullkey.recover_key_store ~ctx ?stop ?max_traces
               ~stop_report:print_stop_summary ~reader ~h:pk.h
-              (crack_strategy truth_sk)
+              (Attack.Recover.sampled_strategy truth_sk.Falcon.Scheme.f_fft)
           in
           crack_report pk truth_kp res
       | _ ->
@@ -253,7 +241,7 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
             (Array.length traces) pk.params.n;
           let res =
             Attack.Fullkey.recover_key ~ctx ~traces ~h:pk.h
-              (crack_strategy truth_sk)
+              (Attack.Recover.sampled_strategy truth_sk.Falcon.Scheme.f_fft)
           in
           crack_report pk truth_kp res
       | _ ->

@@ -122,20 +122,14 @@ let on_corrupt_arg =
           "What to do when a shard fails its CRC or size checks: $(b,fail) \
            (default — abort loudly naming the shard) or $(b,skip) (drop the \
            shard from the campaign and count it in the dema.shards_skipped \
-           metric).")
+           metric).  The one corrupt-shard setting: every streaming pass \
+           over the store follows it, realignment included.")
 
 let flags_term =
   Term.(
     const (fun jobs templates log log_level on_corrupt ->
         { Common_flags.jobs; templates; log; log_level; on_corrupt })
     $ jobs_arg $ templates_arg $ log_arg $ log_level_arg $ on_corrupt_arg)
-
-(* Open a trace store honouring the shared --on-corrupt flag.  The
-   [policy] on the reader handle matches --on-corrupt so policy-honouring
-   iteration (Reader.fold / to_seq) behaves consistently with the streaming
-   attack passes, which read it from the context. *)
-let open_store (flags : Common_flags.t) dir =
-  Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt dir
 
 (* Shared data flags (same name, same doc, every CLI). *)
 

@@ -288,29 +288,15 @@ let copy_sidecar src_dir dst_dir name =
 
 let sidecars = [ "public.key"; "secret.key"; "assess.fda" ]
 
-(* First [reference_traces] rows of the store, for the in-memory
-   bootstrap.  None on an empty store. *)
-let bootstrap_rows ~reference_traces reader =
-  if reference_traces < 1 then invalid_arg "Align: reference_traces < 1";
-  let rows = ref [] and d = ref 0 in
-  (try
-     Seq.iter
-       (fun (r : Tracestore.record) ->
-         if !d >= reference_traces then raise Exit;
-         rows := r.Tracestore.samples :: !rows;
-         incr d)
-       (Tracestore.Reader.to_seq reader)
-   with Exit -> ());
-  if !d = 0 then None else Some (Array.of_list (List.rev !rows))
-
 let realign_store ?(ctx = Attack.Ctx.default) ?(max_shift = 3) ?window
     ?(reference_traces = 64) ~src ~dst () =
   if max_shift < 0 then invalid_arg "Align.realign_store: max_shift < 0";
+  if reference_traces < 1 then invalid_arg "Align: reference_traces < 1";
   let obs = ctx.Attack.Ctx.obs in
   Obs.span obs "align.realign_store"
     ~fields:[ ("src", Obs.Str src); ("dst", Obs.Str dst) ]
   @@ fun () ->
-  let reader = Tracestore.Reader.open_store ~policy:ctx.Attack.Ctx.on_corrupt src in
+  let reader = Tracestore.Reader.open_store src in
   let meta = Tracestore.Reader.meta reader in
   let width = meta.Tracestore.width in
   let fill = meta.Tracestore.model.Tracestore.baseline in
@@ -325,74 +311,88 @@ let realign_store ?(ctx = Attack.Ctx.default) ?(max_shift = 3) ?window
     emit_stats obs st;
     st
   in
-  match bootstrap_rows ~reference_traces reader with
-  | None -> finish zero_stats
-  | Some rows ->
-      let reference = bootstrap_reference ~lo ~hi ~max_shift rows in
-      let range = search_range max_shift in
-      (* Pass A: stream the whole store once to estimate every relative
-         shift (a handful of bytes per trace — the out-of-core property
-         survives), then anchor. *)
-      let relative =
-        let feed = Attack.Dema.Stream.shard_feed ~ctx reader in
-        Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
-        let acc = ref [] in
+  let range = search_range max_shift in
+  (* Pass A: stream the whole store once.  Its first [reference_traces]
+     surviving traces bootstrap the reference in memory; then every
+     relative shift is estimated (a handful of bytes per trace — the
+     out-of-core property survives) before anchoring. *)
+  let relative =
+    let feed = Attack.Dema.Stream.shard_feed ~ctx reader in
+    Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
+    let rec bootstrap held d =
+      if d >= reference_traces then List.rev held
+      else
+        match feed.Attack.Dema.Stream.next () with
+        | None -> List.rev held
+        | Some batch -> bootstrap (batch :: held) (d + Array.length batch)
+    in
+    match bootstrap [] 0 with
+    | [] -> [||]
+    | held ->
+        let held_traces = Array.concat held in
+        let rows =
+          Array.init
+            (min reference_traces (Array.length held_traces))
+            (fun i -> held_traces.(i).Leakage.samples)
+        in
+        let reference = bootstrap_reference ~lo ~hi ~max_shift rows in
+        let estimate_batch batch =
+          Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
+            (fun (t : Leakage.trace) ->
+              estimate ~reference ~lo ~max_shift:range t.Leakage.samples)
+            batch
+        in
+        let acc = ref (List.rev_map estimate_batch held) in
         let rec loop () =
           match feed.Attack.Dema.Stream.next () with
           | None -> ()
           | Some batch ->
-              let rel =
-                Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
-                  (fun (t : Leakage.trace) ->
-                    estimate ~reference ~lo ~max_shift:range t.Leakage.samples)
-                  batch
-              in
-              acc := rel :: !acc;
+              acc := estimate_batch batch :: !acc;
               loop ()
         in
         loop ();
         Array.concat (List.rev !acc)
-      in
-      if Array.length relative = 0 then finish zero_stats
-      else begin
-        let anchor = anchor_of relative in
-        let shifts =
-          Array.map (fun r -> clamp max_shift (r - anchor)) relative
-        in
-        (* Pass B: stream again in the same shard order and write the
-           corrected campaign.  The two passes see the same surviving
-           shards — the store is immutable — so index i in [shifts]
-           is trace i of this pass too. *)
-        let feed = Attack.Dema.Stream.shard_feed ~ctx reader in
-        Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
-        let i = ref 0 in
-        let rec loop () =
-          match feed.Attack.Dema.Stream.next () with
-          | None -> ()
-          | Some batch ->
-              let base = !i in
-              i := base + Array.length batch;
-              let out =
-                Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
-                  (fun k ->
-                    let t = batch.(k) in
-                    let s = shifts.(base + k) in
-                    let t =
-                      if s = 0 then t
-                      else
-                        {
-                          t with
-                          Leakage.samples =
-                            shift_samples ~fill ~shift:s t.Leakage.samples;
-                        }
-                    in
-                    Leakage.to_record t)
-                  (Array.init (Array.length batch) Fun.id)
-              in
-              Array.iter (Tracestore.Writer.append writer) out;
-              loop ()
-        in
-        loop ();
-        let skipped = feed.Attack.Dema.Stream.skipped () in
-        finish (stats_of_shifts ~skipped shifts)
-      end
+  in
+  if Array.length relative = 0 then finish zero_stats
+  else begin
+    let anchor = anchor_of relative in
+    let shifts =
+      Array.map (fun r -> clamp max_shift (r - anchor)) relative
+    in
+    (* Pass B: stream again in the same shard order and write the
+       corrected campaign.  The two passes see the same surviving
+       shards — the store is immutable — so index i in [shifts]
+       is trace i of this pass too. *)
+    let feed = Attack.Dema.Stream.shard_feed ~ctx reader in
+    Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
+    let i = ref 0 in
+    let rec loop () =
+      match feed.Attack.Dema.Stream.next () with
+      | None -> ()
+      | Some batch ->
+          let base = !i in
+          i := base + Array.length batch;
+          let out =
+            Parallel.map_array ~jobs:ctx.Attack.Ctx.jobs
+              (fun k ->
+                let t = batch.(k) in
+                let s = shifts.(base + k) in
+                let t =
+                  if s = 0 then t
+                  else
+                    {
+                      t with
+                      Leakage.samples =
+                        shift_samples ~fill ~shift:s t.Leakage.samples;
+                    }
+                in
+                Leakage.to_record t)
+              (Array.init (Array.length batch) Fun.id)
+          in
+          Array.iter (Tracestore.Writer.append writer) out;
+          loop ()
+    in
+    loop ();
+    let skipped = feed.Attack.Dema.Stream.skipped () in
+    finish (stats_of_shifts ~skipped shifts)
+  end

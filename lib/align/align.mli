@@ -125,13 +125,13 @@ val realign_store :
   unit ->
   stats
 (** Out-of-core two-pass realignment of a {!Tracestore} campaign.  The
-    bootstrap reference is built in memory from the first
-    [?reference_traces] (default 64) stored traces; the store then
-    streams twice through {!Attack.Dema.Stream.shard_feed} (honouring
-    [ctx.on_corrupt] exactly as the analysis readers do) — once to
-    estimate every relative shift (a few bytes per trace held in
-    memory, so the out-of-core property survives)
-    and, after anchoring, once to write the corrected campaign to a
+    store streams twice through {!Attack.Dema.Stream.shard_feed}, so
+    [ctx.on_corrupt] governs every read exactly as in the analysis
+    passes.  The first pass builds the bootstrap reference in memory
+    from its first [?reference_traces] (default 64) surviving traces,
+    then estimates every relative shift (a few bytes per trace held in
+    memory, so the out-of-core property survives); after anchoring,
+    the second pass writes the corrected campaign to a
     fresh store at [dst] with the same metadata, the store's recorded
     baseline as fill.  Sidecar files ([public.key], [secret.key],
     [assess.fda]) present in [src] are copied so the realigned store

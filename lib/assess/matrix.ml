@@ -354,54 +354,57 @@ let tiny ?ctx ?targets ?conditions ?distinguishers ?progress ~seed () =
 (* {2 Serialisation} *)
 
 let json_of_cell c =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("target", Json.String c.target);
-      ("defense", Json.String (Campaign.name c.defense));
-      ("sigma", Json.Float c.sigma);
-      ("budget", Json.Int c.budget);
-      ("condition", Json.String (Campaign.condition_name c.condition));
-      ("distinguisher", Json.String c.distinguisher);
-      ("experiments", Json.Int c.outcome.Metrics.experiments);
-      ("success_rate", Json.Float c.outcome.Metrics.success_rate);
-      ("guessing_entropy", Json.Float c.outcome.Metrics.guessing_entropy);
-      ("ge_bits", Json.Float c.outcome.Metrics.ge_bits);
+      ("target", Obs.Json.String c.target);
+      ("defense", Obs.Json.String (Campaign.name c.defense));
+      ("sigma", Obs.Json.Float c.sigma);
+      ("budget", Obs.Json.Int c.budget);
+      ("condition", Obs.Json.String (Campaign.condition_name c.condition));
+      ("distinguisher", Obs.Json.String c.distinguisher);
+      ("experiments", Obs.Json.Int c.outcome.Metrics.experiments);
+      ("success_rate", Obs.Json.Float c.outcome.Metrics.success_rate);
+      ("guessing_entropy", Obs.Json.Float c.outcome.Metrics.guessing_entropy);
+      ("ge_bits", Obs.Json.Float c.outcome.Metrics.ge_bits);
       ( "mtd",
-        match c.outcome.Metrics.mtd with Some d -> Json.Int d | None -> Json.Null );
-      ("mtd_found", Json.Int c.outcome.Metrics.mtd_found);
+        match c.outcome.Metrics.mtd with
+        | Some d -> Obs.Json.Int d
+        | None -> Obs.Json.Null );
+      ("mtd_found", Obs.Json.Int c.outcome.Metrics.mtd_found);
       ( "mtd_conf",
         match c.outcome.Metrics.mtd_conf with
-        | Some d -> Json.Int d
-        | None -> Json.Null );
-      ("mtd_conf_found", Json.Int c.outcome.Metrics.mtd_conf_found);
-      ("max_t1", Json.Float c.max_t1);
-      ("max_t1_sample", Json.Int c.max_t1_sample);
-      ("max_t2", Json.Float c.max_t2);
-      ("rvr_max_t1", Json.Float c.rvr_max_t1);
-      ("first_order_leak", Json.Bool c.first_order_leak);
-      ("overhead", Json.Float c.overhead);
-      ("dilution", Json.Int c.dilution);
+        | Some d -> Obs.Json.Int d
+        | None -> Obs.Json.Null );
+      ("mtd_conf_found", Obs.Json.Int c.outcome.Metrics.mtd_conf_found);
+      ("max_t1", Obs.Json.Float c.max_t1);
+      ("max_t1_sample", Obs.Json.Int c.max_t1_sample);
+      ("max_t2", Obs.Json.Float c.max_t2);
+      ("rvr_max_t1", Obs.Json.Float c.rvr_max_t1);
+      ("first_order_leak", Obs.Json.Bool c.first_order_leak);
+      ("overhead", Obs.Json.Float c.overhead);
+      ("dilution", Obs.Json.Int c.dilution);
     ]
 
 let to_json r =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("schema", Json.String schema);
-      ("seed", Json.Int r.seed);
-      ("experiments", Json.Int r.experiments);
-      ("decoys", Json.Int r.decoys);
-      ("targets", Json.List (List.map (fun t -> Json.String t) r.targets));
-      ("defenses", Json.List (List.map (fun d -> Json.String (Campaign.name d)) r.defenses));
-      ("sigmas", Json.List (List.map (fun s -> Json.Float s) r.sigmas));
-      ("budgets", Json.List (List.map (fun b -> Json.Int b) r.budgets));
+      ("schema", Obs.Json.String schema);
+      ("seed", Obs.Json.Int r.seed);
+      ("experiments", Obs.Json.Int r.experiments);
+      ("decoys", Obs.Json.Int r.decoys);
+      ("targets", Obs.Json.List (List.map (fun t -> Obs.Json.String t) r.targets));
+      ( "defenses",
+        Obs.Json.List (List.map (fun d -> Obs.Json.String (Campaign.name d)) r.defenses) );
+      ("sigmas", Obs.Json.List (List.map (fun s -> Obs.Json.Float s) r.sigmas));
+      ("budgets", Obs.Json.List (List.map (fun b -> Obs.Json.Int b) r.budgets));
       ( "conditions",
-        Json.List
+        Obs.Json.List
           (List.map
-             (fun c -> Json.String (Campaign.condition_name c))
+             (fun c -> Obs.Json.String (Campaign.condition_name c))
              r.conditions) );
       ( "distinguishers",
-        Json.List (List.map (fun d -> Json.String d) r.distinguishers) );
-      ("cells", Json.List (List.map json_of_cell r.cells));
+        Obs.Json.List (List.map (fun d -> Obs.Json.String d) r.distinguishers) );
+      ("cells", Obs.Json.List (List.map json_of_cell r.cells));
     ]
 
 let csv_header =
@@ -438,7 +441,7 @@ let to_csv r =
 let ( let* ) = Result.bind
 
 let field what conv j key =
-  match Json.member key j with
+  match Obs.Json.member key j with
   | None -> Error (Printf.sprintf "%s: missing field %S" what key)
   | Some v -> (
       match conv v with
@@ -447,16 +450,16 @@ let field what conv j key =
 
 let check cond msg = if cond then Ok () else Error msg
 
-let finite_number j = Option.bind (Json.to_number_opt j) (fun f ->
+let finite_number j = Option.bind (Obs.Json.to_number_opt j) (fun f ->
     if Float.is_finite f then Some f else None)
 
 let validate_cell i j =
   let what = Printf.sprintf "cell %d" i in
-  let* t = field what Json.to_string_opt j "target" in
+  let* t = field what Obs.Json.to_string_opt j "target" in
   let* () =
     check (known_target t) (Printf.sprintf "%s: unknown target %S" what t)
   in
-  let* d = field what Json.to_string_opt j "defense" in
+  let* d = field what Obs.Json.to_string_opt j "defense" in
   let* () =
     check
       (List.exists (fun v -> Campaign.name v = d) Campaign.all)
@@ -464,9 +467,9 @@ let validate_cell i j =
   in
   let* sigma = field what finite_number j "sigma" in
   let* () = check (sigma > 0.) (what ^ ": sigma must be positive") in
-  let* budget = field what Json.to_int_opt j "budget" in
+  let* budget = field what Obs.Json.to_int_opt j "budget" in
   let* () = check (budget > 0) (what ^ ": budget must be positive") in
-  let* cond = field what Json.to_string_opt j "condition" in
+  let* cond = field what Obs.Json.to_string_opt j "condition" in
   let* () =
     check
       (match Campaign.condition_of_name cond with
@@ -474,13 +477,13 @@ let validate_cell i j =
       | exception Failure _ -> false)
       (Printf.sprintf "%s: unknown condition %S" what cond)
   in
-  let* dist = field what Json.to_string_opt j "distinguisher" in
+  let* dist = field what Obs.Json.to_string_opt j "distinguisher" in
   let* () =
     check
       (List.mem dist known_distinguishers)
       (Printf.sprintf "%s: unknown distinguisher %S" what dist)
   in
-  let* experiments = field what Json.to_int_opt j "experiments" in
+  let* experiments = field what Obs.Json.to_int_opt j "experiments" in
   let* () = check (experiments > 0) (what ^ ": experiments must be positive") in
   let* sr = field what finite_number j "success_rate" in
   let* () = check (sr >= 0. && sr <= 1.) (what ^ ": success_rate outside [0,1]") in
@@ -488,75 +491,77 @@ let validate_cell i j =
   let* () = check (ge >= 1.) (what ^ ": guessing_entropy below 1") in
   let* _ = field what finite_number j "ge_bits" in
   let* () =
-    match Json.member "mtd" j with
+    match Obs.Json.member "mtd" j with
     | None -> Error (what ^ ": missing field \"mtd\"")
-    | Some Json.Null -> Ok ()
-    | Some (Json.Int d) ->
+    | Some Obs.Json.Null -> Ok ()
+    | Some (Obs.Json.Int d) ->
         check (d >= 1 && d <= budget) (what ^ ": mtd outside [1, budget]")
     | Some _ -> Error (what ^ ": field \"mtd\" must be null or an integer")
   in
-  let* mtd_found = field what Json.to_int_opt j "mtd_found" in
+  let* mtd_found = field what Obs.Json.to_int_opt j "mtd_found" in
   let* () =
     check
       (mtd_found >= 0 && mtd_found <= experiments)
       (what ^ ": mtd_found outside [0, experiments]")
   in
   let* () =
-    match Json.member "mtd_conf" j with
+    match Obs.Json.member "mtd_conf" j with
     | None -> Error (what ^ ": missing field \"mtd_conf\"")
-    | Some Json.Null -> Ok ()
-    | Some (Json.Int d) ->
+    | Some Obs.Json.Null -> Ok ()
+    | Some (Obs.Json.Int d) ->
         check (d >= 1 && d <= budget) (what ^ ": mtd_conf outside [1, budget]")
     | Some _ -> Error (what ^ ": field \"mtd_conf\" must be null or an integer")
   in
-  let* mtd_conf_found = field what Json.to_int_opt j "mtd_conf_found" in
+  let* mtd_conf_found = field what Obs.Json.to_int_opt j "mtd_conf_found" in
   let* () =
     check
       (mtd_conf_found >= 0 && mtd_conf_found <= experiments)
       (what ^ ": mtd_conf_found outside [0, experiments]")
   in
   let* _ = field what finite_number j "max_t1" in
-  let* _ = field what Json.to_int_opt j "max_t1_sample" in
+  let* _ = field what Obs.Json.to_int_opt j "max_t1_sample" in
   let* _ = field what finite_number j "max_t2" in
   let* _ = field what finite_number j "rvr_max_t1" in
-  let* _ = field what Json.to_bool_opt j "first_order_leak" in
+  let* _ = field what Obs.Json.to_bool_opt j "first_order_leak" in
   let* ov = field what finite_number j "overhead" in
   let* () = check (ov >= 1.) (what ^ ": overhead below 1") in
-  let* dil = field what Json.to_int_opt j "dilution" in
+  let* dil = field what Obs.Json.to_int_opt j "dilution" in
   check (dil >= 1) (what ^ ": dilution below 1")
 
 let validate j =
-  let* s = field "report" Json.to_string_opt j "schema" in
-  let* () = check (s = schema) (Printf.sprintf "report: schema %S, expected %S" s schema) in
-  let* _ = field "report" Json.to_int_opt j "seed" in
-  let* _ = field "report" Json.to_int_opt j "experiments" in
-  let* _ = field "report" Json.to_int_opt j "decoys" in
-  let* targets = field "report" Json.to_list_opt j "targets" in
+  let* s = field "report" Obs.Json.to_string_opt j "schema" in
+  let* () =
+    check (s = schema) (Printf.sprintf "report: schema %S, expected %S" s schema)
+  in
+  let* _ = field "report" Obs.Json.to_int_opt j "seed" in
+  let* _ = field "report" Obs.Json.to_int_opt j "experiments" in
+  let* _ = field "report" Obs.Json.to_int_opt j "decoys" in
+  let* targets = field "report" Obs.Json.to_list_opt j "targets" in
   let* () = check (targets <> []) "report: empty target axis" in
   let* target_names =
     List.fold_left
       (fun acc tj ->
         let* names = acc in
-        match Json.to_string_opt tj with
+        match Obs.Json.to_string_opt tj with
         | None -> Error "report: target axis entry is not a string"
         | Some t ->
             if known_target t then Ok (t :: names)
             else Error (Printf.sprintf "report: unknown target %S" t))
       (Ok []) targets
   in
-  let* defenses = field "report" Json.to_list_opt j "defenses" in
+  let* defenses = field "report" Obs.Json.to_list_opt j "defenses" in
   let* () = check (defenses <> []) "report: empty defense axis" in
-  let* sigmas = field "report" Json.to_list_opt j "sigmas" in
+  let* sigmas = field "report" Obs.Json.to_list_opt j "sigmas" in
   let* () = check (sigmas <> []) "report: empty sigma axis" in
-  let* budgets = field "report" Json.to_list_opt j "budgets" in
+  let* budgets = field "report" Obs.Json.to_list_opt j "budgets" in
   let* () = check (budgets <> []) "report: empty budget axis" in
-  let* conditions = field "report" Json.to_list_opt j "conditions" in
+  let* conditions = field "report" Obs.Json.to_list_opt j "conditions" in
   let* () = check (conditions <> []) "report: empty condition axis" in
   let* () =
     List.fold_left
       (fun acc cj ->
         let* () = acc in
-        match Json.to_string_opt cj with
+        match Obs.Json.to_string_opt cj with
         | None -> Error "report: condition axis entry is not a string"
         | Some s -> (
             match Campaign.condition_of_name s with
@@ -565,20 +570,20 @@ let validate j =
                 Error (Printf.sprintf "report: unknown condition %S" s)))
       (Ok ()) conditions
   in
-  let* distinguishers = field "report" Json.to_list_opt j "distinguishers" in
+  let* distinguishers = field "report" Obs.Json.to_list_opt j "distinguishers" in
   let* () = check (distinguishers <> []) "report: empty distinguisher axis" in
   let* () =
     List.fold_left
       (fun acc dj ->
         let* () = acc in
-        match Json.to_string_opt dj with
+        match Obs.Json.to_string_opt dj with
         | None -> Error "report: distinguisher axis entry is not a string"
         | Some d ->
             if List.mem d known_distinguishers then Ok ()
             else Error (Printf.sprintf "report: unknown distinguisher %S" d))
       (Ok ()) distinguishers
   in
-  let* cells = field "report" Json.to_list_opt j "cells" in
+  let* cells = field "report" Obs.Json.to_list_opt j "cells" in
   let expected =
     List.fold_left
       (fun acc target ->

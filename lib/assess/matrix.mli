@@ -121,10 +121,10 @@ val tiny :
 (** The smoke-test preset: full defense axis, one sigma (0.5), one
     budget (200), 2 experiments, 24 decoys — seconds, not minutes. *)
 
-val to_json : report -> Json.t
+val to_json : report -> Obs.Json.t
 val to_csv : report -> string
 
-val validate : Json.t -> (unit, string) result
+val validate : Obs.Json.t -> (unit, string) result
 (** Structural schema check of a parsed report: schema tag, non-empty
     axes, known target names, parseable condition names, cell count =
     the sum of per-target {!grid_size}s, per-cell field presence, types

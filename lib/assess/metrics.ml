@@ -155,34 +155,26 @@ let of_entries ?(ctx = Attack.Ctx.default) ?(stop_alpha = default_stop_alpha)
   let d_true = Fpr.mantissa truth land m25 in
   if d_true = 0 then
     invalid_arg "Assess.Metrics: degenerate secret (zero low mantissa half)";
-  (* Disclosure watches the strongest d-free part of each device model:
-     the D x B product sample under the Hamming-weight probe, the
-     (D x B) -> (D x A) bus transition at the w10 sample under bus-HD
-     (where the w00 sample's predecessor is the full secret operand). *)
+  (* The low phase's whole plan, extend @ prune: what the sequential
+     tester and the profiled ranking score. *)
+  let extend, prune = Attack.Recover.low_stages leakage in
+  let low_parts =
+    List.map (fun (lbl, m) -> (Attack.Recover.sample lbl, m)) (extend @ prune)
+  in
+  (* Disclosure watches the head of the extend stage, the strongest
+     d-free part of each device model: the D x B product sample under
+     the Hamming-weight probe, the (D x B) -> (D x A) bus transition at
+     the w10 sample under bus-HD (where the w00 sample's predecessor is
+     the full secret operand). *)
   let evo_sample, evo_model =
-    match leakage with
-    | `Hw -> (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.m_w00)
-    | `Hd -> (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.hd_w10)
+    let sample, m = List.hd low_parts in
+    (sample, Attack.Hypothesis.Model.apply m)
   in
   let step = max 1 (per / 16) in
   (* measured traces-to-decision: the same sequential tester the
      adaptive campaign engine uses, looking every [step] traces at the
-     low-mantissa decision parts over this experiment's candidate set *)
+     low-mantissa parts over this experiment's candidate set *)
   let stop_spec = Sequential.Decision.spec ~alpha:stop_alpha () in
-  let stop_parts =
-    match leakage with
-    | `Hw ->
-        [
-          (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.p_w00);
-          (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_w10);
-          (Attack.Recover.sample Fpr.Mant_z1a, Attack.Recover.p_z1a);
-        ]
-    | `Hd ->
-        [
-          (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_hd_w10);
-          (Attack.Recover.sample Fpr.Mant_z1a, Attack.Recover.p_hd_z1a);
-        ]
-  in
   let run_one i =
     let slice = Array.sub fixed (i * per) per in
     let traces =
@@ -220,14 +212,8 @@ let of_entries ?(ctx = Attack.Ctx.default) ?(stop_alpha = default_stop_alpha)
     in
     let mtd, mtd_conf =
       if Attack.Distinguisher.is_profiled ctx.Attack.Ctx.backend then
-        let extend, prune = Attack.Recover.low_stages leakage in
-        let parts =
-          List.map
-            (fun (lbl, m) -> (Attack.Recover.sample lbl, m))
-            (extend @ prune)
-        in
-        ( profiled_mtd ~ctx:ectx ~parts ~known ~truth:d_true ~step ~candidates
-            traces,
+        ( profiled_mtd ~ctx:ectx ~parts:low_parts ~known ~truth:d_true ~step
+            ~candidates traces,
           None )
       else
         let series =
@@ -236,7 +222,7 @@ let of_entries ?(ctx = Attack.Ctx.default) ?(stop_alpha = default_stop_alpha)
         in
         let until =
           Attack.Dema.rank_until ~ctx:ectx ~spec:stop_spec ~batch:step ~traces
-            ~parts:stop_parts ~known ~top:1 (Array.to_seq candidates)
+            ~parts:low_parts ~known ~top:1 (Array.to_seq candidates)
         in
         ( Stats.Signif.traces_to_significance series,
           match until.Attack.Dema.stop with

@@ -585,12 +585,7 @@ module Sweep = struct
      sample index of a part is its position (columns arrive per part) *)
   let create ~backend ~parts candidates =
     let parts = List.mapi (fun j m -> (j, m)) parts in
-    let b =
-      match backend with
-      | Stats.Pearson.Batch.Scalar -> pearson_scalar parts
-      | Stats.Pearson.Batch.Batched -> pearson_fused ~shared:false parts
-    in
-    make b ~nparts:(List.length parts) candidates
+    make (bind ~shared:false backend parts) ~nparts:(List.length parts) candidates
 
   let n t = t.st.Chunked.traces ()
 
@@ -733,19 +728,15 @@ module Stream = struct
     m
 
   (* Read and decode shard [i]; [None] when the corrupt-shard policy
-     drops it.  A silently shrunken campaign skews every downstream
-     statistic, so losing a shard is loud unless the caller opted in. *)
+     drops it.  The reader's load is strict, so this is the one place a
+     corrupt shard is forgiven.  A silently shrunken campaign skews
+     every downstream statistic, so losing a shard is loud unless the
+     caller opted in. *)
   let fetch ~on_corrupt ~codec m reader i =
-    let drop msg = match on_corrupt with `Fail -> failwith msg | `Skip -> None in
-    match Tracestore.Reader.read_shard reader i with
-    | Some records -> Some (Array.map (codec.decode m) records)
-    | None ->
-        drop
-          (Printf.sprintf
-             "Dema.Stream: shard %d is corrupt or unreadable; pass \
-              ~on_corrupt:`Skip to drop it from the campaign"
-             i)
-    | exception Failure msg -> drop msg
+    match Tracestore.Reader.load_shard reader i with
+    | records -> Some (Array.map (codec.decode m) records)
+    | exception Failure msg -> (
+        match on_corrupt with `Fail -> failwith msg | `Skip -> None)
 
   let map_shards ~ctx ?(codec = falcon_codec) reader f =
     let obs = ctx.Ctx.obs in
@@ -894,7 +885,7 @@ module Stream = struct
 
   (* Adaptive variant of [rank]: shards are decoded one at a time (with
      the same corrupt-shard policy) and fed to an incremental sweep; the
-     tester looks after each shard per the spec's schedule and the pull
+     tester looks after each shard past the spec's floor and the pull
      stops at the stopping point.  Fed to exhaustion it returns [rank]'s
      exact ranking. *)
   let rank_until ?(ctx = Ctx.default) ?codec ~spec ?max_traces reader ~parts ~known ~top

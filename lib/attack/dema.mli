@@ -89,7 +89,7 @@ val rank_absolute :
     Pearson correlation this is {e not} invariant under constant shifts
     of the predicted Hamming weight, which is what disambiguates exponent
     hypotheses that differ by a per-trace constant (see
-    {!Recover.attack_exponent}).  [alpha] and [baseline] come from
+    {!Recover.sign_exponent_multi}).  [alpha] and [baseline] come from
     {!Calibrate.estimate} — i.e. from the same traces, not from a
     profiling device.  The statistic is the same under every
     selection. *)
@@ -120,14 +120,16 @@ module Sweep : sig
   type 'k t
 
   val create :
-    backend:Stats.Pearson.Batch.backend ->
+    backend:Distinguisher.selection ->
     parts:'k Hypothesis.Model.t list ->
     int array ->
     'k t
   (** One sweep over a fixed candidate array (at least two candidates —
-      a runner-up must exist) and a list of part models.  Parts may live
-      on different views, so each supplies its own known operands at
-      fold time. *)
+      a runner-up must exist) and a list of part models, scored by the
+      selection as every other entry point binds it.  Parts may live on
+      different views, so each supplies its own known operands at fold
+      time.  {!leaders} reads correlation statistics: a caller feeding
+      them to a decision tester must reject a profiled selection. *)
 
   val n : 'k t -> int
   (** Traces folded so far. *)
@@ -192,8 +194,8 @@ val rank_until :
 
     {b Corrupt shards.}  All entry points raise [Failure] if the store's
     sample width does not match its ring size.  A shard the reader
-    cannot produce — its own [`Fail] policy raised, or its [`Skip]
-    policy returned [None] — is a {e data error} by default
+    cannot load ({!Tracestore.Reader.load_shard} raised) is a
+    {e data error} by default
     ([ctx.on_corrupt] = [`Fail]): the sweep fails naming the shard index
     rather than silently analysing a shrunken campaign.  A context with
     [on_corrupt = `Skip] drops such shards from the analysis; each drop

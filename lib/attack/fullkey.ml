@@ -148,15 +148,13 @@ let buffer_views b =
 
    With [?stop] the 2n units are live: every still-undecided unit
    copies each batch into its buffer (the prefix its final attack will
-   run on) and folds two incremental decision sweeps — low mantissa
-   half on [w00; w10; z1a] over the width-25 candidate set (z1a is what
-   breaks the exact shift-alias ties of w00/w10) and high half on
-   [w01; w11] over the width-28 candidates (whose [lo] excludes shift
-   aliases, so no d-dependent part is needed).  The unit's reported gap
-   is the {e weaker} of the two sweeps' standardised gaps, so a stop
-   certifies both halves separated at the spent level.  Once stopped,
-   the unit is retired: its buffer stops growing and later batches skip
-   its scoring entirely.
+   run on) and folds two incremental decision sweeps, one per mantissa
+   half, on the d-free part sets of [Recover.decision_stages] over the
+   strategy's held candidate sets ([Recover.candidate_sets]).  The
+   unit's reported gap is the {e weaker} of the two sweeps'
+   standardised gaps, so a stop certifies both halves separated at the
+   spent level.  Once stopped, the unit is retired: its buffer stops
+   growing and later batches skip its scoring entirely.
 
    Determinism: batches arrive in shard order, each unit's buffer and
    sweeps are touched only by its own fold in batch order with
@@ -165,20 +163,22 @@ let buffer_views b =
    order — stop points, winners and the recovered key are bit-identical
    at every [jobs] and backend. *)
 
-let decision_candidates strategy ~coeff ~mul =
-  match (strategy ~coeff ~mul : Recover.strategy) with
-  | Recover.Exhaustive ->
-      invalid_arg
-        "Fullkey: ?stop requires a sampled strategy — the exhaustive 2^25 \
-         hypothesis space cannot be re-scored at every look"
-  | Recover.Eval_sampled { rng; decoys; truth } ->
-      (* same rng threading as [Recover.coefficient]: low then high *)
-      let xu = Fpr.mantissa truth lor (1 lsl 52) in
-      ( Hypothesis.sampled rng ~width:25 ~truth:(xu land ((1 lsl 25) - 1)) ~decoys (),
-        Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:(xu lsr 25) ~decoys ()
-      )
+let supports_stop leakage = Recover.decision_stages leakage <> None
 
-let unit_fold b ~low ~high batch =
+(* One decision sweep over a stage: a part per (label, view), label-major
+   and view-minor, and the labels it reads its columns from. *)
+type decision = { sweep : Fpr.t Dema.Sweep.t; labels : Fpr.label list }
+
+let decision ~backend b (stage : Recover.stage) cands =
+  {
+    sweep =
+      Dema.Sweep.create ~backend
+        ~parts:(List.concat_map (fun (_, m) -> List.map (fun _ -> m) b.muls) stage)
+        cands;
+    labels = List.map fst stage;
+  }
+
+let unit_fold b decisions batch =
   let base = buffer_append b batch in
   let len = Array.length batch in
   (* per-view known operands and per-(view, label) columns *)
@@ -191,42 +191,41 @@ let unit_fold b ~low ~high batch =
     let off = (vi * Leakage.events_per_mul) + Recover.sample lbl in
     Array.init len (fun r -> b.rows.{base + r, off})
   in
-  let segs labels =
-    Array.concat
-      (List.map
-         (fun lbl -> Array.init nviews (fun vi -> (col vi lbl, kvs.(vi))))
-         labels)
-  in
-  Dema.Sweep.fold ~jobs:1 low (segs [ Fpr.Mant_w00; Fpr.Mant_w10; Fpr.Mant_z1a ]);
-  Dema.Sweep.fold ~jobs:1 high (segs [ Fpr.Mant_w01; Fpr.Mant_w11 ])
+  List.iter
+    (fun d ->
+      Dema.Sweep.fold ~jobs:1 d.sweep
+        (Array.concat
+           (List.map
+              (fun lbl -> Array.init nviews (fun vi -> (col vi lbl, kvs.(vi))))
+              d.labels)))
+    decisions
 
 (* The unit separates only when BOTH halves do: report the weaker
    sweep's leaders, so the tester's one-sided gap test certifies the
    minimum of the two standardised gaps. *)
 let unit_leaders ~low ~high () =
-  let ll = Dema.Sweep.leaders ~jobs:1 low in
-  let lh = Dema.Sweep.leaders ~jobs:1 high in
-  let n = Dema.Sweep.n low in
+  let ll = Dema.Sweep.leaders ~jobs:1 low.sweep in
+  let lh = Dema.Sweep.leaders ~jobs:1 high.sweep in
+  let n = Dema.Sweep.n low.sweep in
   let z (l : Sequential.Campaign.leaders) =
     Stats.Signif.corr_gap_z ~n ~r1:l.best ~r2:l.runner_up
   in
   if z ll <= z lh then ll else lh
 
-let campaign_unit ~backend strategy t b =
+let campaign_unit ~backend ~stages:(low_stage, high_stage) strategy t b =
   let coeff, component = unit_of t in
-  let low_cands, high_cands =
-    decision_candidates strategy ~coeff ~mul:(mul_of component)
-  in
-  let spread models = List.concat_map (fun m -> List.map (fun _ -> m) b.muls) models in
-  let low =
-    Dema.Sweep.create ~backend
-      ~parts:(spread [ Recover.p_w00; Recover.p_w10; Recover.p_z1a ])
-      low_cands
-  in
-  let high =
-    Dema.Sweep.create ~backend ~parts:(spread [ Recover.p_w01; Recover.p_w11 ]) high_cands
-  in
-  { Sequential.Campaign.fold = unit_fold b ~low ~high; leaders = unit_leaders ~low ~high }
+  match Recover.candidate_sets (strategy ~coeff ~mul:(mul_of component)) with
+  | Recover.Streamed _ ->
+      invalid_arg
+        "Fullkey: ?stop requires a sampled strategy — the exhaustive 2^25 \
+         hypothesis space cannot be re-scored at every look"
+  | Recover.Held (low_cands, high_cands) ->
+      let low = decision ~backend b low_stage low_cands in
+      let high = decision ~backend b high_stage high_cands in
+      {
+        Sequential.Campaign.fold = unit_fold b [ low; high ];
+        leaders = unit_leaders ~low ~high;
+      }
 
 let recover_f_fft_store ?(ctx = Ctx.default) ?stop ?max_traces ?stop_report ~reader
     strategy =
@@ -240,28 +239,34 @@ let recover_f_fft_store ?(ctx = Ctx.default) ?stop ?max_traces ?stop_report ~rea
         ("adaptive", Obs.Bool (stop <> None));
       ]
   @@ fun () ->
-  if stop <> None then begin
-    (* The adaptive driver's streaming decision sweeps need a d-free
-       part set per half; under bus-HD every usable high-half
-       transition takes the recovered d, so there is no high sweep to
-       decide on.  Mirror the Exhaustive rejection rather than decide
-       on a mismatched model. *)
-    if ctx.Ctx.leakage = `Hd then
-      invalid_arg
-        "Fullkey: ?stop is not available under `Hd leakage — the streaming \
-         decision sweeps have no d-free Hamming-distance part set";
-    if Distinguisher.is_profiled ctx.Ctx.backend then
-      invalid_arg
-        "Fullkey: ?stop is not available under the profiled distinguisher — \
-         the sequential gap testers are correlation statistics"
-  end;
+  (* the adaptive plan — spec and unit part sets — checked before the
+     pass starts *)
+  let adaptive =
+    match stop with
+    | None -> None
+    | Some spec ->
+        let stages =
+          match Recover.decision_stages ctx.Ctx.leakage with
+          | Some stages -> stages
+          | None ->
+              invalid_arg
+                "Fullkey: ?stop is not available under `Hd leakage — the \
+                 streaming decision sweeps have no d-free Hamming-distance part \
+                 set"
+        in
+        if Distinguisher.is_profiled ctx.Ctx.backend then
+          invalid_arg
+            "Fullkey: ?stop is not available under the profiled distinguisher — \
+             the sequential gap testers are correlation statistics";
+        Some (spec, stages)
+  in
   let bufs =
     Obs.span obs "fullkey.store_pass" @@ fun () ->
     let fd = Dema.Stream.shard_feed ~ctx ?max_traces reader in
     Fun.protect ~finally:fd.Dema.Stream.close @@ fun () ->
     let total = fd.Dema.Stream.total in
     let bufs = Array.init (2 * n) (buffer_create ~cap:total) in
-    (match stop with
+    (match adaptive with
     | None ->
         let rec loop () =
           match fd.Dema.Stream.next () with
@@ -271,8 +276,10 @@ let recover_f_fft_store ?(ctx = Ctx.default) ?stop ?max_traces ?stop_report ~rea
               loop ()
         in
         loop ()
-    | Some spec ->
-        let units = Array.mapi (campaign_unit ~backend:(Ctx.kernel ctx) strategy) bufs in
+    | Some (spec, stages) ->
+        let units =
+          Array.mapi (campaign_unit ~backend:ctx.Ctx.backend ~stages strategy) bufs
+        in
         let results =
           Sequential.Campaign.run ~jobs:ctx.Ctx.jobs ~obs ~spec ~total
             ~feed:fd.Dema.Stream.next ~length:Array.length units

@@ -78,24 +78,32 @@ val recover_f_fft_store :
     {b Adaptive budgets.}  With [?stop], the 2n units of the same
     single pass become live: each still-undecided (coefficient,
     component) buffers its windows from every batch and folds two
-    incremental decision sweeps (low mantissa half on
-    [w00; w10; z1a], high half on [w01; w11], over the strategy's
-    candidate sets); a unit stops — and is retired from all later
-    batches — once the {e weaker} of its two top-1 vs runner-up gaps
-    passes the sequential test, and the unchanged per-coefficient
+    incremental decision sweeps, one per mantissa half, on the part
+    sets of {!Recover.decision_stages} (low half on [w00; w10; z1a],
+    high half on [w01; w11]) over the held candidate sets
+    {!Recover.candidate_sets} makes of the strategy — the same sets
+    the final attack ranks; a unit stops — and is retired from all
+    later batches — once the {e weaker} of its two top-1 vs runner-up
+    gaps passes the sequential test, and the unchanged per-coefficient
     attack then runs on its buffered prefix.  [?stop_report] receives
     the per-unit traces-used summary.
     Stop points and the recovered transform are bit-identical across
     [jobs] and backends.  Raises [Invalid_argument] if [?stop] is
-    combined with an [Exhaustive] strategy (the 2^25 space cannot be
-    re-scored at every look), with [`Hd] leakage (every usable
-    high-half bus transition takes the recovered d, so there is no
-    d-free decision sweep) or with the profiled distinguisher;
-    [?stop_report] is called only with [?stop].
+    combined with a strategy whose candidate sets are streamed rather
+    than held ([Exhaustive]: the 2^25 space cannot be re-scored at
+    every look), with a leakage family {!supports_stop} rejects
+    ([`Hd]: every usable high-half bus transition takes the recovered
+    d, so there is no d-free decision sweep) or with the profiled
+    distinguisher; [?stop_report] is called only with [?stop].
 
     [ctx.leakage] selects the hypothesis models as in {!recover_f_fft};
     attack a bus-HD campaign ([Leakage.hd_emitter]) with
     [Ctx.with_leakage `Hd]. *)
+
+val supports_stop : Recover.leakage -> bool
+(** Whether {!recover_f_fft_store} accepts [?stop] under that leakage
+    family: exactly when {!Recover.decision_stages} has a d-free part
+    set for it ([`Hw] only). *)
 
 val recover_key_store :
   ?ctx:Ctx.t ->

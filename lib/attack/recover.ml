@@ -39,14 +39,6 @@ let m_exp g y = (g + Fpr.biased_exponent y - 2100) land 0xFFFFFFFF
 let m_w00 d y = d * b25 y
 let m_w10 d y = d * a28 y
 let m_z1a d y = ((d * b25 y) lsr 25) + ((d * a28 y) land m25)
-let m_w01 e y = e * b25 y
-let m_w11 e y = e * a28 y
-let m_z1 ~d e y = m_z1a d y + ((e * b25 y) land m25)
-
-let m_zhigh ~d e y =
-  let w01 = e * b25 y and w10 = d * a28 y in
-  let z1 = m_z1 ~d e y in
-  (e * a28 y) + (w01 lsr 25) + (w10 lsr 25) + (z1 lsr 25)
 
 (* ---- split forms ----
 
@@ -59,12 +51,6 @@ let m_zhigh ~d e y =
 
 (* B and A packed into one word: B is 25 bits, A is 28, total 53 < 63. *)
 let pack_ba y = b25 y lor (a28 y lsl 25)
-
-let p_sign = Hypothesis.Model.split ~prep:Fpr.sign_bit ~eval:(fun g s -> g lxor s)
-
-let p_exp =
-  Hypothesis.Model.split ~prep:Fpr.biased_exponent
-    ~eval:(fun g e -> (g + e - 2100) land 0xFFFFFFFF)
 
 let p_w00 = Hypothesis.Model.split ~prep:b25 ~eval:( * )
 let p_w10 = Hypothesis.Model.split ~prep:a28 ~eval:( * )
@@ -114,11 +100,6 @@ let p_zhigh ~d =
 type leakage = [ `Hw | `Hd ]
 
 let hd_w10 d y = (d * b25 y) lxor (d * a28 y)
-let hd_z1a d y = (d * a28 y) lxor m_z1a d y
-let hd_w01 ~d e y = m_z1a d y lxor (e * b25 y)
-let hd_z1 ~d e y = (e * b25 y) lxor m_z1 ~d e y
-let hd_w11 ~d e y = m_z1 ~d e y lxor (e * a28 y)
-let hd_zhigh ~d e y = (e * a28 y) lxor m_zhigh ~d e y
 
 let p_hd_w10 =
   Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
@@ -216,20 +197,11 @@ let attack_sign v =
    produce Hamming-weight sequences affinely equivalent to the right one.
    The store of the result's high 32-bit word (sign, exponent field, top
    mantissa bits) disambiguates once the mantissa and sign are known —
-   that is why the divide-and-conquer runs the mantissa first. *)
-let m_result_hi ~mant ~sign =
-  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
-  fun g y ->
-    let r0 = Fpr.mul x0 y in
-    let e_res = (g + Fpr.biased_exponent r0 - 1023) land 0x7FF in
-    (((sign lxor Fpr.sign_bit y) lsl 31) lor (e_res lsl 20) lor (Fpr.mantissa r0 lsr 32))
-    land 0xFFFFFFFF
+   that is why the divide-and-conquer runs the mantissa first.
 
-(* Split form of the high-word model: the per-operand mantissa product
-   and exponent carry are digested into one packed word — 12 bits of
-   (delta + 2048), 20 of the result's top mantissa bits, 1 of the
-   operand's sign.  Replaces the old per-closure memo table (which was
-   mutated from every worker domain) with a per-sweep prep table. *)
+   Its split form digests the per-operand mantissa product and exponent
+   carry into one packed word — 12 bits of (delta + 2048), 20 of the
+   result's top mantissa bits, 1 of the operand's sign. *)
 let prep_hi ~mant =
   let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
   fun y ->
@@ -244,9 +216,6 @@ let eval_hi ~sign g p =
   let delta = (p lsr 21) - 2048 in
   let e_res = (g + delta) land 0x7FF in
   (((sign lxor sy) lsl 31) lor (e_res lsl 20) lor hi20) land 0xFFFFFFFF
-
-let p_result_hi ~mant ~sign =
-  Hypothesis.Model.split ~prep:(prep_hi ~mant) ~eval:(eval_hi ~sign)
 
 (* Hypotheses e and e + 64k predict Hamming weights that differ by a
    per-trace constant over the narrow FFT(c) exponent spread, so Pearson
@@ -357,25 +326,6 @@ let sign_exponent_multi ?(ctx = Ctx.default) ?(exp_candidates = default_exponent
 let attack_sign_exponent ?ctx ?exp_candidates ~mant v =
   sign_exponent_multi ?ctx ?exp_candidates ~mant [ v ]
 
-let attack_exponent ?(ctx = Ctx.default) ?candidates ~mant ~sign v =
-  let candidates =
-    match candidates with Some cs -> cs | None -> default_exponent_window
-  in
-  Obs.span ctx.Ctx.obs "recover.exponent" @@ fun () ->
-  let alpha, baseline = calibrate_views [ v ] in
-  let ranked =
-    Dema.rank_absolute ~ctx ~traces:v.traces
-      ~parts:
-        [
-          (sample Fpr.Exp_sum, p_exp);
-          (sample Fpr.Result_hi, p_result_hi ~mant ~sign);
-        ]
-      ~known:v.known ~top:8 ~alpha ~baseline candidates
-  in
-  match ranked with
-  | best :: _ -> (best.guess, ranked)
-  | [] -> invalid_arg "Recover.attack_exponent: empty candidate set"
-
 type mantissa_result = {
   winner : int;
   extend : Dema.scored list;
@@ -412,6 +362,10 @@ let extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views 
    out; the w10 and z1a transitions are d-only and carry the stage. *)
 let low_extend_stage = [ (Fpr.Mant_w00, p_w00); (Fpr.Mant_w10, p_w10) ]
 
+(* The high phase's HW extend stage takes no d: the w01/w11 partial
+   products involve only the guessed high word. *)
+let high_extend_stage = [ (Fpr.Mant_w01, p_w01); (Fpr.Mant_w11, p_w11) ]
+
 type stage = (Fpr.label * Fpr.t Hypothesis.Model.t) list
 
 let mantissa_low_width = 25
@@ -422,9 +376,7 @@ let low_stages = function
   | `Hd -> ([ (Fpr.Mant_w10, p_hd_w10) ], [ (Fpr.Mant_z1a, p_hd_z1a) ])
 
 let high_stages ~d = function
-  | `Hw ->
-      ( [ (Fpr.Mant_w01, p_w01); (Fpr.Mant_w11, p_w11) ],
-        [ (Fpr.Mant_z1, p_z1 ~d); (Fpr.Mant_zhigh, p_zhigh ~d) ] )
+  | `Hw -> (high_extend_stage, [ (Fpr.Mant_z1, p_z1 ~d); (Fpr.Mant_zhigh, p_zhigh ~d) ])
   | `Hd ->
       ( [ (Fpr.Mant_w01, p_hd_w01 ~d); (Fpr.Mant_w11, p_hd_w11 ~d) ],
         [ (Fpr.Mant_z1, p_hd_z1 ~d); (Fpr.Mant_zhigh, p_hd_zhigh ~d) ] )
@@ -441,7 +393,7 @@ let attack_mantissa_low ?ctx ?top ~candidates v =
 
 let attack_mantissa_low_naive ?ctx ?(top = 16) ~candidates v =
   Dema.rank ?ctx ~traces:v.traces
-    ~parts:[ (sample Fpr.Mant_w00, p_w00); (sample Fpr.Mant_w10, p_w10) ]
+    ~parts:(List.map (fun (lbl, m) -> (sample lbl, m)) low_extend_stage)
     ~known:v.known ~top candidates
 
 let mantissa_high_multi ?(ctx = Ctx.default) ?(top = 16) ~candidates ~d views =
@@ -454,26 +406,57 @@ let mantissa_high_multi ?(ctx = Ctx.default) ?(top = 16) ~candidates ~d views =
 let attack_mantissa_high ?ctx ?top ~candidates ~d v =
   mantissa_high_multi ?ctx ?top ~candidates ~d [ v ]
 
+(* An adaptive unit re-scores its candidates at every look, so it
+   decides each half on a d-free part set: the low phase's whole plan,
+   and the high phase's extend stage — d-free only under HW, since
+   every usable high-half bus transition takes the recovered d. *)
+let decision_stages = function
+  | `Hw ->
+      let extend, prune = low_stages `Hw in
+      Some (extend @ prune, high_extend_stage)
+  | `Hd -> None
+
 type strategy =
   | Exhaustive
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
+
+type candidate_sets =
+  | Streamed of int Seq.t * int Seq.t
+  | Held of int array * int array
+
+let high_lo = 1 lsl (mantissa_high_width - 1)
+
+let candidate_sets = function
+  | Exhaustive ->
+      Streamed
+        ( Hypothesis.exhaustive ~width:mantissa_low_width (),
+          Hypothesis.exhaustive ~width:mantissa_high_width ~lo:high_lo () )
+  | Eval_sampled { rng; decoys; truth } ->
+      let xu = Fpr.mantissa truth lor (1 lsl 52) in
+      (* the high set is drawn from [rng] before the low set: the order
+         every sampled recovery has used, so keys stay reproducible *)
+      let high =
+        Hypothesis.sampled rng ~width:mantissa_high_width ~lo:high_lo
+          ~truth:(xu lsr mantissa_low_width) ~decoys ()
+      in
+      let low =
+        Hypothesis.sampled rng ~width:mantissa_low_width ~truth:(xu land m25) ~decoys ()
+      in
+      Held (low, high)
+
+let sampled_strategy ?(seed = 0) (f_fft : Fft.t) ~coeff ~mul =
+  let truth = if mul = 0 then f_fft.Fft.re.(coeff) else f_fft.Fft.im.(coeff) in
+  Eval_sampled
+    { rng = Stats.Rng.create ~seed:(seed + (coeff * 7) + mul); decoys = 512; truth }
 
 let coefficient ?(ctx = Ctx.default) ~strategy views =
   Obs.span ctx.Ctx.obs "recover.coefficient"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
   let low_cands, high_cands =
-    match strategy with
-    | Exhaustive ->
-        ( Hypothesis.exhaustive ~width:25 (),
-          Hypothesis.exhaustive ~width:28 ~lo:(1 lsl 27) () )
-    | Eval_sampled { rng; decoys; truth } ->
-        let xu = Fpr.mantissa truth lor (1 lsl 52) in
-        ( Array.to_seq
-            (Hypothesis.sampled rng ~width:25 ~truth:(xu land m25) ~decoys ()),
-          Array.to_seq
-            (Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:(xu lsr 25)
-               ~decoys ()) )
+    match candidate_sets strategy with
+    | Streamed (low, high) -> (low, high)
+    | Held (low, high) -> (Array.to_seq low, Array.to_seq high)
   in
   (* keep enough extend survivors that the truth cannot be displaced by
      its own alias class (up to ~25 exact ties for small D) plus noise *)

@@ -38,19 +38,6 @@ val m_w10 : int -> Fpr.t -> int
 val m_z1a : int -> Fpr.t -> int
 (** guess = D; predicted (DB >> 25) + (DA mod 2^25). *)
 
-val m_w01 : int -> Fpr.t -> int
-(** guess = E (secret high 28 bits); predicted E x B. *)
-
-val m_w11 : int -> Fpr.t -> int
-(** guess = E; predicted E x A. *)
-
-val m_z1 : d:int -> int -> Fpr.t -> int
-val m_zhigh : d:int -> int -> Fpr.t -> int
-
-val m_result_hi : mant:int -> sign:int -> int -> Fpr.t -> int
-(** guess = biased exponent; predicted high 32-bit word of the stored
-    result, given the recovered mantissa and sign. *)
-
 (** {2 Hamming-distance forms}
 
     Matched models for bus-HD leakage ({!Leakage.Register_file.bus}: one
@@ -58,7 +45,8 @@ val m_result_hi : mant:int -> sign:int -> int -> Fpr.t -> int
     [HW(v_(j-1) lxor v_j)]).  Each is the XOR of the two values
     co-resident on the bus at that sample; the models stay exact, so the
     HD attack keeps the full correlation of the HW one.  The component
-    attacks below select them from [ctx.Ctx.leakage]. *)
+    attacks below select them from [ctx.Ctx.leakage] through the stage
+    lists ({!low_stages}, {!high_stages}). *)
 
 type leakage = [ `Hw | `Hd ]
 (** Which device model the hypothesis models are matched against:
@@ -71,57 +59,30 @@ val hd_w10 : int -> Fpr.t -> int
 (** guess = D; predicted (D x B) xor (D x A) — the w10-sample bus
     transition. *)
 
-val hd_z1a : int -> Fpr.t -> int
-val hd_w01 : d:int -> int -> Fpr.t -> int
-val hd_z1 : d:int -> int -> Fpr.t -> int
-val hd_w11 : d:int -> int -> Fpr.t -> int
-val hd_zhigh : d:int -> int -> Fpr.t -> int
-
-val norm_value : mant:int -> Fpr.t -> int
-(** The normalised 55-bit product with sticky bit, exactly as
-    [Fpr.mul_emit] forms it — the bus predecessor of the exponent
-    register write. *)
-
 (** {2 Split forms}
 
-    The same models as {!Hypothesis.Model.Split} values: the known
-    operand is digested once per sweep ([prep]) and the candidate loop
-    runs on plain ints ([eval]) inside the fused Pearson kernel.  For
-    every model, [eval g (prep y) = m_* g y] exactly (integer
-    arithmetic), so rankings are bit-identical to the plain functions on
-    either backend. *)
+    Models as {!Hypothesis.Model.Split} values: the known operand is
+    digested once per sweep ([prep]) and the candidate loop runs on
+    plain ints ([eval]) inside the fused Pearson kernel.  For every
+    model, [eval g (prep y) = m_* g y] exactly (integer arithmetic), so
+    rankings are bit-identical to the plain functions on either
+    backend.  The low-half HW models are exported for hand-built part
+    lists; every other split model (high half, bus-HD) reaches callers
+    only through the stage lists below. *)
 
-val p_sign : Fpr.t Hypothesis.Model.t
-val p_exp : Fpr.t Hypothesis.Model.t
 val p_w00 : Fpr.t Hypothesis.Model.t
 val p_w10 : Fpr.t Hypothesis.Model.t
 val p_z1a : Fpr.t Hypothesis.Model.t
-val p_w01 : Fpr.t Hypothesis.Model.t
-val p_w11 : Fpr.t Hypothesis.Model.t
-val p_z1 : d:int -> Fpr.t Hypothesis.Model.t
-val p_zhigh : d:int -> Fpr.t Hypothesis.Model.t
-
-val p_result_hi : mant:int -> sign:int -> Fpr.t Hypothesis.Model.t
-(** Split {!m_result_hi}: the per-operand product digest lives in the
-    prep table instead of a closure-local memo (the old memo was mutated
-    from every worker domain). *)
-
-val p_hd_w10 : Fpr.t Hypothesis.Model.t
-val p_hd_z1a : Fpr.t Hypothesis.Model.t
-val p_hd_w01 : d:int -> Fpr.t Hypothesis.Model.t
-val p_hd_z1 : d:int -> Fpr.t Hypothesis.Model.t
-val p_hd_w11 : d:int -> Fpr.t Hypothesis.Model.t
-val p_hd_zhigh : d:int -> Fpr.t Hypothesis.Model.t
-(** Split forms of the bus-HD models, same prep digests as the HW
-    splits. *)
 
 (** {2 Stage part sets}
 
     The (event label, split model) lists each mantissa phase correlates
-    against, per leakage family — the single source both the fixed and
-    the adaptive full-key drivers, and the {!Target} enumerator, build
-    their part lists from.  First component: the extend stage; second:
-    the prune stage. *)
+    against, per leakage family — the single source of those lists: the
+    fixed per-coefficient attacks, the adaptive units of
+    {!Fullkey.recover_f_fft_store} (through {!decision_stages}), the
+    {!Target} enumerator and [Assess.Metrics] all build their part lists
+    from them.  First component: the extend stage; second: the prune
+    stage. *)
 
 type stage = (Fpr.label * Fpr.t Hypothesis.Model.t) list
 
@@ -139,6 +100,17 @@ val mantissa_low_width : int
 
 val mantissa_high_width : int
 (** 28 — the guess width of the high phase (top bit fixed to 1). *)
+
+val decision_stages : leakage -> (stage * stage) option
+(** The d-free part sets an adaptive (early-stopping) unit decides each
+    mantissa half on, re-scored at every look before the low half is
+    known: for the low half the whole {!low_stages} plan (extend @
+    prune — z1a is what breaks the exact shift-alias ties of w00/w10),
+    for the high half the extend stage of {!high_stages} (w01 + w11,
+    whose candidate range excludes shift aliases).  [None] under [`Hd]:
+    every usable high-half bus transition takes the recovered d, so
+    there is no d-free high part set — the one place that restriction
+    lives. *)
 
 (** {1 Component attacks} *)
 
@@ -162,26 +134,16 @@ val sign_exponent_multi :
   int * int * Dema.scored list
 (** Joint recovery of (sign, biased exponent) with the calibrated
     absolute-level distinguisher over the exponent register, the sign XOR
-    and the result's high-word store, given the recovered mantissa.
-    Needs far fewer traces for the sign bit than the plain differential
-    {!attack_sign} (which follows the paper's Fig. 4(a) method). *)
+    and the result's high-word store, given the recovered mantissa (the
+    divide-and-conquer recovers the mantissa first).  Needs far fewer
+    traces for the sign bit than the plain differential {!attack_sign}
+    (which follows the paper's Fig. 4(a) method).  Exponent hypotheses
+    that differ by multiples of 64 predict per-trace-constant
+    Hamming-weight shifts and are invisible to a correlation
+    distinguisher; the default exponent window [992, 1056) applies the
+    coefficient-magnitude prior 2^-31 <= |FFT(f)_k| < 2^33, which
+    contains exactly one member of each tie class. *)
 
-val attack_exponent :
-  ?ctx:Ctx.t ->
-  ?candidates:int Seq.t ->
-  mant:int ->
-  sign:int ->
-  view ->
-  int * Dema.scored list
-(** Biased exponent, combining the e = ex + ey - 2100 register leak with
-    the result's high-word store; the latter requires the already-
-    recovered 52-bit mantissa and sign (the divide-and-conquer recovers
-    the mantissa first).  Exponent hypotheses that differ by multiples of
-    64 predict per-trace-constant Hamming-weight shifts and are invisible
-    to a correlation distinguisher; the default candidate window
-    [992, 1056) applies the coefficient-magnitude prior
-    2^-31 <= |FFT(f)_k| < 2^33, which contains exactly one member of each
-    tie class. *)
 
 type mantissa_result = {
   winner : int;
@@ -241,6 +203,33 @@ type strategy =
       (** paper-scale enumeration: 2^25 + 2^27 hypotheses per coefficient *)
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
       (** evaluation mode: truth + alias class + decoys (see DESIGN.md) *)
+
+(** What a strategy ranks each mantissa half over — the one interpreter
+    of {!strategy}, shared by {!coefficient} and the adaptive units of
+    {!Fullkey.recover_f_fft_store}. *)
+type candidate_sets =
+  | Streamed of int Seq.t * int Seq.t
+      (** (low, high) spaces too large to hold, enumerated lazily: the
+          exhaustive 2^25 and 2^27 ranges *)
+  | Held of int array * int array
+      (** (low, high) sets held in memory, small enough to re-score at
+          every look of an adaptive campaign *)
+
+val candidate_sets : strategy -> candidate_sets
+(** [Exhaustive] streams both full ranges (the high one with its top
+    bit fixed).  [Eval_sampled] draws both sets from its [rng] with
+    {!Hypothesis.sampled} around the truth's halves — the high set
+    first, then the low set — so calling it on a fresh strategy value
+    always yields the same arrays. *)
+
+val sampled_strategy : ?seed:int -> Fft.t -> coeff:int -> mul:int -> strategy
+(** [sampled_strategy ?seed f_fft] is the evaluation strategy every
+    driver of this repository attacks with: [Eval_sampled] around the
+    true value [f_fft.re.(coeff)] ([mul = 0]) or [f_fft.im.(coeff)]
+    ([mul = 1]), with 512 decoys and a fresh rng seeded
+    [seed + 7 coeff + mul] ([seed] defaults to 0).  Pure per
+    (coeff, mul), so recovery with it is bit-identical at every
+    [jobs]. *)
 
 val coefficient :
   ?ctx:Ctx.t ->

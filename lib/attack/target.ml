@@ -94,10 +94,7 @@ module Falcon = struct
   let profile_window ~n:_ = Leakage.events_per_mul
   let codec = Dema.Stream.falcon_codec
 
-  (* every usable high-half bus transition takes the recovered d, so
-     there is no d-free Hamming-distance decision sweep — the same
-     restriction Fullkey.recover_*_store enforces *)
-  let supports_stop = function `Hw -> true | `Hd -> false
+  let supports_stop = Fullkey.supports_stop
 
   let emitter_of = function
     | `Hw -> Leakage.default_emitter
@@ -261,30 +258,15 @@ module Falcon = struct
            Printf.sprintf "%016Lx"
              (if i land 1 = 0 then f.Fft.re.(i lsr 1) else f.Fft.im.(i lsr 1))))
 
-  (* the sampled-hypothesis strategy of [attack_cli crack] — pure per
-     (coeff, mul), same seeds, so target-routed recovery is
-     bit-identical to the pre-target CLI path *)
-  let crack_strategy (truth_sk : Falcon.Scheme.secret_key) ~coeff ~mul =
-    let truth =
-      if mul = 0 then truth_sk.f_fft.Fft.re.(coeff) else truth_sk.f_fft.Fft.im.(coeff)
-    in
-    Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
-
   let recover_store ?(ctx = Ctx.default) ?stop ?max_traces ~dir reader =
-    (match stop with
-    | Some _ when not (supports_stop ctx.Ctx.leakage) ->
-        invalid_arg
-          "Target.falcon: ?stop is not available under `Hd leakage (no d-free \
-           Hamming-distance decision sweep)"
-    | _ -> ());
     let pk, truth_kp = read_keys dir in
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
     let res =
       Fullkey.recover_key_store ~ctx ?stop ?max_traces
         ~stop_report:(fun s -> summary := Some s)
-        ~reader ~h:pk.h (crack_strategy truth_sk)
+        ~reader ~h:pk.h
+        (Recover.sampled_strategy truth_sk.Falcon.Scheme.f_fft)
     in
     let total = Tracestore.Reader.total_traces reader in
     let budget =

@@ -84,8 +84,9 @@ module type S = sig
 
   val supports_stop : leakage -> bool
   (** whether {!recover_store} accepts [?stop] under that leakage
-      family (FALCON has no d-free Hamming-distance decision sweep;
-      HQC's HD hypothesis is prefix-free, so both families stop) *)
+      family (FALCON reads {!Fullkey.supports_stop}: no d-free
+      Hamming-distance decision sweep; HQC's HD hypothesis is
+      prefix-free, so both families stop) *)
 
   val record_store :
     ?leakage:leakage ->

@@ -137,7 +137,6 @@ let of_int i =
   end
 
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let sign t = t.s
 let is_zero t = t.s = 0

@@ -96,16 +96,12 @@ let run ~jobs ?(obs = Obs.null) ~spec ~total ~feed ~length units =
                  state is bit-identical at every [jobs]. *)
               ignore (Parallel.map_array ~jobs:j (fun i -> units.(i).fold batch) act);
               Array.iter (fun i -> unit_n.(i) <- !n) act;
-              let due =
-                Array.of_seq
-                  (Seq.filter
-                     (fun i -> !n >= Decision.due testers.(i))
-                     (Array.to_seq act))
-              in
-              if Array.length due > 0 then begin
-                let j = min jobs (Array.length due) in
+              (* Below the floor no tester would take a look, so the
+                 units are not asked for their leaders. *)
+              if !n >= spec.Decision.min_traces then begin
+                let j = min jobs (Array.length act) in
                 let ls =
-                  Parallel.map_array ~jobs:j (fun i -> units.(i).leaders ()) due
+                  Parallel.map_array ~jobs:j (fun i -> units.(i).leaders ()) act
                 in
                 (* Decisions on the owner domain, in unit order. *)
                 let retired = ref false in
@@ -120,7 +116,7 @@ let run ~jobs ?(obs = Obs.null) ~spec ~total ~feed ~length units =
                     | Decision.Stop s ->
                         stops.(i) <- Some s;
                         retired := true)
-                  due;
+                  act;
                 if !retired then
                   (* Re-pack: later batches fold only undecided work. *)
                   active :=

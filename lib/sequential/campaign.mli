@@ -4,9 +4,9 @@
     time — the streaming engine in [Attack.Dema.Stream] builds the feed)
     into a set of independent scoring {e units} — one per coefficient,
     or a single unit for a whole-ranking campaign.  After each batch,
-    units whose look is due report their top-1 / runner-up correlations
-    and a per-unit {!Decision.tester} decides [Continue] or [Stop]; a
-    stopped unit is {e retired} and the active set re-packed, so later
+    once [spec.min_traces] traces have arrived, every active unit
+    reports its top-1 / runner-up correlations and a per-unit
+    {!Decision.tester} decides [Continue] or [Stop]; a stopped unit is {e retired} and the active set re-packed, so later
     batches fold only undecided work.
 
     {b Determinism.}  Folds run on a worker pool but each unit's state

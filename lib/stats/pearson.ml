@@ -101,10 +101,6 @@ let corr_matrix ~traces ~hyps =
           if vh <= 0. || vt.(j) <= 0. then 0. else cov /. sqrt (vh *. vt.(j))))
     hyps
 
-let corr_at_sample ~traces ~hyps ~sample =
-  let col = Array.map (fun tr -> tr.(sample)) traces in
-  Array.map (fun h -> corr h col) hyps
-
 let evolution ~traces ~hyp ~sample ~step =
   let d = Array.length traces in
   assert (step > 0 && Array.length hyp = d);
@@ -128,40 +124,6 @@ let evolution ~traces ~hyp ~sample ~step =
     end
   done;
   List.rev !out
-
-module Streaming = struct
-  type t = { width : int; mutable n : int; cols : Welford.Cov.t array }
-
-  let create ~width =
-    if width < 0 then invalid_arg "Pearson.Streaming.create: negative width";
-    { width; n = 0; cols = Array.init width (fun _ -> Welford.Cov.create ()) }
-
-  let add t ~hyp row =
-    if Array.length row <> t.width then
-      invalid_arg
-        (Printf.sprintf "Pearson.Streaming.add: row has %d samples, tracker width is %d"
-           (Array.length row) t.width);
-    t.n <- t.n + 1;
-    for j = 0 to t.width - 1 do
-      Welford.Cov.add t.cols.(j) hyp row.(j)
-    done
-
-  let count t = t.n
-  let width t = t.width
-  let corr t j = Welford.Cov.correlation t.cols.(j)
-  let corr_all t = Array.init t.width (corr t)
-
-  let merge a b =
-    if a.width <> b.width then
-      invalid_arg
-        (Printf.sprintf "Pearson.Streaming.merge: widths %d and %d differ" a.width
-           b.width);
-    {
-      width = a.width;
-      n = a.n + b.n;
-      cols = Array.init a.width (fun j -> Welford.Cov.merge a.cols.(j) b.cols.(j));
-    }
-end
 
 (* ---- batched hypothesis-block kernel ----
 
@@ -573,13 +535,3 @@ module Batch = struct
               if vh <= 0. || vt.(j) <= 0. then 0. else cov /. sqrt (vh *. vt.(j))))
     end
 end
-
-let best_sample r =
-  let best = ref 0 in
-  Array.iteri (fun j v -> if Float.abs v > Float.abs r.(!best) then best := j) r;
-  (!best, r.(!best))
-
-let rank_guesses r =
-  let idx = Array.init (Array.length r) (fun i -> i) in
-  Array.sort (fun a b -> compare (Float.abs r.(b)) (Float.abs r.(a))) idx;
-  idx

@@ -31,9 +31,6 @@ val corr_matrix : traces:float array array -> hyps:float array array -> float ar
     between each guess's modelled leakage and each time sample — the
     paper's correlation-vs-time plots (Fig. 4 a-d). *)
 
-val corr_at_sample : traces:float array array -> hyps:float array array -> sample:int -> float array
-(** Correlations of every guess against one time sample (length G). *)
-
 val evolution :
   traces:float array array ->
   hyp:float array ->
@@ -44,36 +41,6 @@ val evolution :
     against sample [sample] computed over the first [d] traces for
     [d = step, 2*step, ...] — the paper's correlation-vs-measurement
     plots (Fig. 4 e-h). *)
-
-(** Streaming per-column correlation tracker: one {!Welford.Cov}
-    accumulator per trace column, fed one trace (hypothesis value +
-    sample row) at a time.  Correlation-vs-trace-count curves become a
-    sequence of {!corr} checkpoints on a single growing tracker — no
-    prefix rescans — and partial trackers built per shard merge in shard
-    order into the whole-campaign statistic (Chan's formula, associative
-    up to floating-point reassociation). *)
-module Streaming : sig
-  type t
-
-  val create : width:int -> t
-  (** Track [width] trace columns against one hypothesis stream. *)
-
-  val add : t -> hyp:float -> float array -> unit
-  (** [add t ~hyp row] folds one trace: its modelled leakage [hyp] and
-      its [width] measured samples.  Raises [Invalid_argument] on a
-      width mismatch. *)
-
-  val count : t -> int
-  val width : t -> int
-
-  val corr : t -> int -> float
-  (** Correlation at column [j] over everything folded so far. *)
-
-  val corr_all : t -> float array
-
-  val merge : t -> t -> t
-  (** Combine disjoint partial trackers; neither input is mutated. *)
-end
 
 (** Batched hypothesis-block distinguisher kernel.
 
@@ -205,9 +172,3 @@ module Batch : sig
       per-sample column statistics hoisted across the guess loop.
       Bit-identical to {!corr_matrix} on the same hypotheses. *)
 end
-
-val best_sample : float array -> int * float
-(** Index and value of the entry with the largest absolute value. *)
-
-val rank_guesses : float array -> int array
-(** Guess indices sorted by decreasing absolute correlation. *)

@@ -6,8 +6,8 @@
     trace counts, the sample width, leakage-model metadata and CRC32
     checksums.  A {!Writer} appends traces during acquisition (buffering
     at most one shard); a {!Reader} iterates the corpus one shard at a
-    time with shard-level corruption detection and a skip-or-fail
-    policy.
+    time with shard-level corruption detection: every shard read is
+    strict.
 
     The layer is deliberately ignorant of the FALCON attack: a trace is
     a {!record} of public strings plus raw samples.  [Leakage] converts
@@ -121,19 +121,20 @@ end
 module Reader : sig
   type t
 
-  val open_store :
-    ?policy:[ `Fail | `Skip ] -> ?access:[ `Auto | `Mmap | `Read ] -> string -> t
+  val open_store : ?access:[ `Auto | `Mmap | `Read ] -> string -> t
   (** Open a store for reading; validates the manifest eagerly (a
-      corrupt manifest always raises [Failure], whatever the policy).
-      [policy] governs shard-level corruption during iteration:
-      [`Fail] (default) raises; [`Skip] drops the shard and records it
-      in {!skipped}.  The handle is safe to share across domains.
+      corrupt manifest raises [Failure]).  Every shard read through the
+      handle is strict: a corrupt shard raises [Failure] naming it.
+      Whether a campaign may drop such a shard instead is the caller's
+      decision, made in one place — [Attack.Ctx.on_corrupt], read by the
+      streaming passes of [Attack.Dema.Stream].  The handle is immutable
+      and safe to share across domains.
 
       [access] selects how shard files reach the decoder:
       - [`Mmap] maps each shard read-only with [Unix.map_file] and
         decodes straight out of the page cache — no intermediate heap
-        copy of the file image.  Raises [Failure] (or skips, per
-        [policy]) if the platform refuses the mapping.
+        copy of the file image.  Raises [Failure] if the platform
+        refuses the mapping.
       - [`Read] forces the classic [really_input] heap path.
       - [`Auto] (default) tries [`Mmap] and silently falls back to
         [`Read] when mapping fails (e.g. network filesystems).
@@ -147,8 +148,8 @@ module Reader : sig
   val shard_count : t -> int
 
   val total_traces : t -> int
-  (** Sum of manifest per-shard counts (including shards that would be
-      skipped). *)
+  (** Sum of manifest per-shard counts (including corrupt shards a
+      streaming pass may drop). *)
 
   val entry : t -> int -> shard_entry
 
@@ -156,26 +157,18 @@ module Reader : sig
   (** Strict single-shard load: reads, CRC-checks and parses shard [i],
       validating size, count and checksum against the manifest.  Raises
       [Failure] (naming the shard index and byte offset) on any
-      corruption, regardless of policy. *)
-
-  val read_shard : t -> int -> record array option
-  (** Policy-honouring load: [None] if the shard is corrupt and the
-      policy is [`Skip]. *)
-
-  val skipped : t -> (int * string) list
-  (** Shards skipped so far (index, diagnostic), in skip order. *)
-
-  val fold : t -> init:'a -> f:('a -> int -> record array -> 'a) -> 'a
-  (** Sequential in-order fold over shards, one shard in memory at a
-      time; corrupt shards skip or fail per policy. *)
+      corruption. *)
 
   val to_seq : t -> record Seq.t
-  (** Lazy record stream in shard order; at most one decoded shard is
-      live at any point of the traversal. *)
+  (** Lazy record stream in shard order through {!load_shard}; at most
+      one decoded shard is live at any point of the traversal, and a
+      corrupt shard raises [Failure] naming it when the traversal
+      reaches it. *)
 end
 
 val verify : string -> meta * (int * (int, string) result) list
-(** [verify dir] opens the manifest strictly and strictly loads every
-    shard, returning per-shard outcomes in order: [Ok count] or
-    [Error diagnostic].  Shards are read with [`Auto] access (see
+(** [verify dir] opens the manifest and loads every shard with
+    {!Reader.load_shard}, returning per-shard outcomes in order:
+    [Ok count] or [Error diagnostic] — one corrupt shard does not stop
+    the check of the others.  Shards are read with [`Auto] access (see
     {!Reader.open_store}).  The store is never modified. *)

@@ -230,6 +230,80 @@ let test_realign_store_deterministic () =
             rest
       | [] -> assert false)
 
+(* Under a [`Skip] context the whole realignment — bootstrap included —
+   reads through the streaming feed, so a corrupt first shard is dropped
+   and counted rather than failing the reference build; the survivors
+   come out exactly as the in-memory realignment of them. *)
+let test_realign_store_skips_corrupt_first_shard () =
+  let jit =
+    { Leakage.hd_emitter with Leakage.jitter = { Leakage.max_shift = 2; drift = 0. } }
+  in
+  let traces = Leakage.capture ~emitter:jit model ~seed:17 sk ~count:60 in
+  let tmp = Filename.temp_dir "fd_align_test" "" in
+  let src = Filename.concat tmp "src" and dst = Filename.concat tmp "dst" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf src;
+      rm_rf dst;
+      rm_rf tmp)
+    (fun () ->
+      let w =
+        Tracestore.Writer.create ~dir:src ~n
+          ~width:(n * Leakage.events_per_coeff) ~shard_traces:20
+          ~model:
+            {
+              Tracestore.alpha = model.Leakage.alpha;
+              noise_sigma = model.Leakage.noise_sigma;
+              baseline = model.Leakage.baseline;
+            }
+      in
+      Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
+      Tracestore.Writer.close w;
+      (* flip one payload byte of shard 0: its CRC no longer matches *)
+      let path = Filename.concat src (Tracestore.shard_name 0) in
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let b = Bytes.create 1 in
+          ignore (Unix.lseek fd 40 Unix.SEEK_SET);
+          ignore (Unix.read fd b 0 1);
+          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+          ignore (Unix.lseek fd 40 Unix.SEEK_SET);
+          ignore (Unix.write fd b 0 1));
+      let buf = Buffer.create 4096 in
+      let ctx =
+        Attack.Ctx.make ~on_corrupt:`Skip ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) ()
+      in
+      let st = Align.realign_store ~ctx ~max_shift:2 ~src ~dst () in
+      Alcotest.(check int) "survivors realigned" 40 st.Align.traces;
+      Alcotest.(check int) "one shard skipped" 1 st.Align.shards_skipped;
+      let skipped =
+        List.filter_map
+          (fun r ->
+            if
+              Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt
+              = Some "dema.shards_skipped"
+            then Option.bind (Obs.Json.member "value" r) Obs.Json.to_int_opt
+            else None)
+          (Obs.Jsonl.read_string (Buffer.contents buf))
+      in
+      Alcotest.(check (list int)) "dema.shards_skipped counted by both passes" [ 1; 1 ]
+        skipped;
+      let written =
+        Array.map
+          (fun (r : Tracestore.record) -> r.Tracestore.samples)
+          (Array.of_seq (Tracestore.Reader.to_seq (Tracestore.Reader.open_store dst)))
+      in
+      let survivors =
+        Array.map (fun (t : Leakage.trace) -> t.Leakage.samples) (Array.sub traces 20 40)
+      in
+      let expected, _ =
+        Align.realign_rows ~max_shift:2 ~fill:model.Leakage.baseline survivors
+      in
+      Alcotest.(check bool) "store realignment == in-memory realignment of survivors"
+        true (written = expected))
+
 (* {2 End-to-end} *)
 
 let test_hd_fullkey_after_realign () =
@@ -407,6 +481,8 @@ let suite =
       test_realign_store_deterministic;
     Alcotest.test_case "hd full key after realignment" `Slow
       test_hd_fullkey_after_realign;
+    Alcotest.test_case "realign_store skips a corrupt first shard" `Quick
+      test_realign_store_skips_corrupt_first_shard;
     Alcotest.test_case "hd leakage rejects adaptive stop" `Quick test_hd_stop_rejected;
     Alcotest.test_case "condition names round trip" `Quick
       test_condition_names_roundtrip;

@@ -182,15 +182,15 @@ let test_countermeasures_raise_mtd () =
 
 let test_json_roundtrip () =
   let src = {|{"a": [1, -2.5, null, true, "xA\n"], "b": {"c": 1e3}}|} in
-  let v = Assess.Json.of_string src in
-  let v' = Assess.Json.of_string (Assess.Json.to_string ~pretty:true v) in
+  let v = Obs.Json.of_string src in
+  let v' = Obs.Json.of_string (Obs.Json.to_string ~pretty:true v) in
   Alcotest.(check bool) "parse . print . parse is stable" true (v = v');
-  (match Assess.Json.member "b" v with
+  (match Obs.Json.member "b" v with
   | Some b ->
       Alcotest.(check (option (float 0.))) "1e3" (Some 1000.)
-        (Option.bind (Assess.Json.member "c" b) Assess.Json.to_number_opt)
+        (Option.bind (Obs.Json.member "c" b) Obs.Json.to_number_opt)
   | None -> Alcotest.fail "missing member b");
-  match Assess.Json.of_string "[1, 2" with
+  match Obs.Json.of_string "[1, 2" with
   | _ -> Alcotest.fail "truncated input accepted"
   | exception Failure _ -> ()
 
@@ -206,26 +206,26 @@ let test_matrix_report_validates () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "valid report rejected: %s" e);
   (* the emitted bytes survive a parse round-trip *)
-  (match Assess.Matrix.validate (Assess.Json.of_string (Assess.Json.to_string json)) with
+  (match Assess.Matrix.validate (Obs.Json.of_string (Obs.Json.to_string json)) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "re-parsed report rejected: %s" e);
   (* tampering must be caught: wrong schema tag, and a cell-count that
      no longer matches the grid *)
   let tamper f =
     match json with
-    | Assess.Json.Obj fields -> Assess.Json.Obj (List.filter_map f fields)
+    | Obs.Json.Obj fields -> Obs.Json.Obj (List.filter_map f fields)
     | _ -> Alcotest.fail "report is not an object"
   in
   let bad_schema =
     tamper (fun (k, v) ->
-        if k = "schema" then Some (k, Assess.Json.String "bogus/v0") else Some (k, v))
+        if k = "schema" then Some (k, Obs.Json.String "bogus/v0") else Some (k, v))
   in
   (match Assess.Matrix.validate bad_schema with
   | Ok () -> Alcotest.fail "wrong schema tag accepted"
   | Error _ -> ());
   let no_cells =
     tamper (fun (k, v) ->
-        if k = "cells" then Some (k, Assess.Json.List []) else Some (k, v))
+        if k = "cells" then Some (k, Obs.Json.List []) else Some (k, v))
   in
   match Assess.Matrix.validate no_cells with
   | Ok () -> Alcotest.fail "missing cells accepted"

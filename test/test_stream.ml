@@ -1,9 +1,8 @@
 (* Streaming (out-of-core) analysis engine: the property tests of the
-   determinism contract.  Streaming Pearson must equal the two-pass
-   computation to 1e-9; Welford.Cov / Pearson.Streaming merges must be
-   associative and split-point independent; shard-checkpointed evolution
-   must match prefix rescans; and the store-backed rank / full-key paths
-   must be bit-identical to the in-memory ones at every jobs value. *)
+   determinism contract.  Shard-checkpointed evolution (Welford.Cov
+   merges in shard order) must match prefix rescans, and the
+   store-backed rank / full-key paths must be bit-identical to the
+   in-memory ones at every jobs value. *)
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. (1. +. Float.abs a)
 
@@ -38,89 +37,6 @@ let with_campaign f =
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;
       f sk traces (Tracestore.Reader.open_store dir))
-
-let test_streaming_pearson_matches_two_pass () =
-  let rng = Stats.Rng.create ~seed:31 in
-  let d = 200 and width = 5 in
-  let hyps = Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:4. ~sigma:1.5) in
-  let rows =
-    Array.map
-      (fun h ->
-        Array.init width (fun j ->
-            (float_of_int (j + 1) *. h) +. Stats.Rng.gaussian rng ~mu:0. ~sigma:2.))
-      hyps
-  in
-  let s = Stats.Pearson.Streaming.create ~width in
-  Array.iteri (fun i row -> Stats.Pearson.Streaming.add s ~hyp:hyps.(i) row) rows;
-  Alcotest.(check int) "count" d (Stats.Pearson.Streaming.count s);
-  for j = 0 to width - 1 do
-    let col = Array.map (fun r -> r.(j)) rows in
-    let two_pass = Stats.Pearson.corr hyps col in
-    if not (feq (Stats.Pearson.Streaming.corr s j) two_pass) then
-      Alcotest.failf "column %d: streaming %.12f vs two-pass %.12f" j
-        (Stats.Pearson.Streaming.corr s j)
-        two_pass
-  done
-
-let test_streaming_merge_split_independent () =
-  let rng = Stats.Rng.create ~seed:32 in
-  let d = 120 and width = 3 in
-  let hyps = Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:1.) in
-  let rows =
-    Array.map
-      (fun h ->
-        Array.init width (fun _ -> h +. Stats.Rng.gaussian rng ~mu:0. ~sigma:0.7))
-      hyps
-  in
-  let tracker lo hi =
-    let s = Stats.Pearson.Streaming.create ~width in
-    for i = lo to hi - 1 do
-      Stats.Pearson.Streaming.add s ~hyp:hyps.(i) rows.(i)
-    done;
-    s
-  in
-  let whole = tracker 0 d in
-  (* any split into consecutive chunks must merge back to the whole *)
-  List.iter
-    (fun cuts ->
-      let bounds = (0 :: cuts) @ [ d ] in
-      let rec pieces = function
-        | lo :: (hi :: _ as rest) -> tracker lo hi :: pieces rest
-        | _ -> []
-      in
-      let merged =
-        match pieces bounds with
-        | p :: ps -> List.fold_left Stats.Pearson.Streaming.merge p ps
-        | [] -> assert false
-      in
-      for j = 0 to width - 1 do
-        if
-          not
-            (feq
-               (Stats.Pearson.Streaming.corr merged j)
-               (Stats.Pearson.Streaming.corr whole j))
-        then
-          Alcotest.failf "split %s col %d diverges"
-            (String.concat "," (List.map string_of_int cuts))
-            j
-      done)
-    [ [ 60 ]; [ 17 ]; [ 40; 80 ]; [ 8; 16; 100 ] ];
-  (* associativity: (a + b) + c == a + (b + c) *)
-  let a = tracker 0 40 and b = tracker 40 80 and c = tracker 80 d in
-  let left =
-    Stats.Pearson.Streaming.merge (Stats.Pearson.Streaming.merge a b) c
-  in
-  let right =
-    Stats.Pearson.Streaming.merge a (Stats.Pearson.Streaming.merge b c)
-  in
-  for j = 0 to width - 1 do
-    if
-      not
-        (feq
-           (Stats.Pearson.Streaming.corr left j)
-           (Stats.Pearson.Streaming.corr right j))
-    then Alcotest.failf "merge not associative at col %d" j
-  done
 
 let test_stream_rank_bit_identical () =
   with_campaign @@ fun sk traces reader ->
@@ -451,7 +367,7 @@ let test_skip_policy_drops_and_counts () =
   let ctx =
     Attack.Ctx.make ~on_corrupt:`Skip ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) ()
   in
-  let reader = Tracestore.Reader.open_store ~policy:`Skip dir in
+  let reader = Tracestore.Reader.open_store dir in
   let streamed =
     Attack.Dema.Stream.rank ~ctx reader ~parts:(rank_parts ())
       ~known:known_re0 ~top:5 (Array.to_seq candidates)
@@ -497,7 +413,7 @@ let test_fullkey_corrupt_shard () =
   let skipped =
     Attack.Fullkey.recover_f_fft_store
       ~ctx:(Attack.Ctx.make ~jobs:2 ~on_corrupt:`Skip ())
-      ~reader:(Tracestore.Reader.open_store ~policy:`Skip dir)
+      ~reader:(Tracestore.Reader.open_store dir)
       strategy
   in
   let kept =
@@ -566,7 +482,7 @@ let test_zero_traces_fail () =
   done;
   let candidates = candidates_for sk in
   let ctx = Attack.Ctx.make ~on_corrupt:`Skip () in
-  let reader () = Tracestore.Reader.open_store ~policy:`Skip dir in
+  let reader () = Tracestore.Reader.open_store dir in
   let fails what f =
     match f () with
     | _ -> Alcotest.failf "%s scored zero traces" what
@@ -592,10 +508,6 @@ let test_zero_traces_fail () =
 
 let suite =
   [
-    Alcotest.test_case "streaming pearson == two-pass" `Quick
-      test_streaming_pearson_matches_two_pass;
-    Alcotest.test_case "merge split-independent and associative" `Quick
-      test_streaming_merge_split_independent;
     Alcotest.test_case "stream rank bit-identical" `Quick
       test_stream_rank_bit_identical;
     Alcotest.test_case "evolution checkpoints == prefix rescans" `Quick
